@@ -1,7 +1,7 @@
 /**
  * @file
  * perfbench — the repository benchmark (see perfbench/README.md). One
- * run starts the deployment (perfbench_lb fronting two redqaoa_serve
+ * run starts the deployment (redqaoa_lb fronting two redqaoa_serve
  * workers with two pool threads each, no warm-start store), drives one
  * seeded closed-loop workload against it, checks every answer against
  * an in-process reference, and ends its stdout with one JSON line:
@@ -67,6 +67,10 @@ constexpr std::size_t kGateChunk = 4096; //!< Reference requests per drain.
  * windows ignores such stalls while they last less than half the run.
  */
 constexpr std::size_t kWindows = 20;
+/** Plain/traced phase pairs behind trace_overhead. */
+constexpr std::size_t kOverheadPairs = 4;
+/** Requests each connection completes in one of those phases. */
+constexpr std::size_t kOverheadMinPerConnection = 2;
 
 double
 secondsOf(Clock::duration d)
@@ -179,7 +183,7 @@ call(int port, const std::string &method)
 }
 
 /**
- * A serving process under test: perfbench_lb with its workers, or one
+ * A serving process under test: redqaoa_lb with its workers, or one
  * standalone redqaoa_serve. It counts as up once it answers hello and,
  * for the front, reports every worker lane up; setupS() is the time
  * from fork to then.
@@ -244,16 +248,31 @@ class Service
     double setupS_ = 0.0;
 };
 
+/** The arguments every redqaoa_serve of the benchmark runs with. */
+std::vector<std::string>
+workerArgs()
+{
+    return {"--threads", std::to_string(kWorkerThreads), "--shards",
+            std::to_string(perfbench::kShards)};
+}
+
+/**
+ * The deployment under test: redqaoa_lb over kWorkers redqaoa_serve
+ * workers with workerArgs(), no warm-start store.
+ */
 std::unique_ptr<Service>
 launchFleet(const std::string &dir, int index)
 {
     const std::string name = "fleet" + std::to_string(index);
-    return std::make_unique<Service>(
-        std::vector<std::string>{PERFBENCH_LB_BIN, PERFBENCH_SERVE_BIN,
-                                 std::to_string(kWorkers),
-                                 std::to_string(kWorkerThreads), dir,
-                                 dir + "/" + name + ".port"},
-        dir, name);
+    std::vector<std::string> argv{PERFBENCH_LB_BIN, "--serve-bin",
+                                  PERFBENCH_SERVE_BIN, "--workers",
+                                  std::to_string(kWorkers), "--port-file",
+                                  dir + "/" + name + ".port"};
+    for (const std::string &arg : workerArgs()) {
+        argv.push_back("--worker-arg");
+        argv.push_back(arg);
+    }
+    return std::make_unique<Service>(argv, dir, name);
 }
 
 /** Summed VmHWM of the front and every worker, in MB. */
@@ -302,21 +321,25 @@ struct Load
         return perfbench::median(
             perfbench::windowRates(completions(), kWindows));
     }
+
+    /** Completions per second over the whole phase. */
+    double rate() const
+    {
+        return ratio(static_cast<double>(completions().size()), elapsedS);
+    }
 };
 
 /**
  * Every connection sends its stream's next request as soon as the last
  * one is answered, until @p seconds have passed and it has completed
- * its workload's minimum. Requests are rendered between exchanges, so
+ * @p min_done requests. Requests are rendered between exchanges, so
  * generation never counts as latency.
  */
 Load
 drive(const Workload &w, int port, std::uint64_t stream_base,
-      double seconds, bool trace)
+      double seconds, bool trace, std::size_t min_done)
 {
     const auto conns = static_cast<std::size_t>(w.spec().connections);
-    const auto min_done =
-        static_cast<std::size_t>(w.spec().minPerConnection);
     Load load;
     load.conns.resize(conns);
     std::vector<std::unique_ptr<perfbench::LineClient>> clients;
@@ -634,11 +657,14 @@ runLadder(const Workload &w, const Service &fleet, const std::string &dir)
     pipeline_opts.trajectories = 8;
     auto pipeline_engine = std::make_shared<EvalEngine>();
     service::ServiceRouter router;
-    service::ServiceServer server;
-    Service serve({PERFBENCH_SERVE_BIN, "--tcp", "--threads",
-                   std::to_string(kWorkerThreads), "--port-file",
-                   dir + "/serve.port"},
-                  dir, "serve");
+    service::ServerOptions server_opts;
+    server_opts.shards = perfbench::kShards;
+    service::ServiceServer server(server_opts);
+    std::vector<std::string> serve_argv{PERFBENCH_SERVE_BIN, "--tcp",
+                                        "--port-file", dir + "/serve.port"};
+    for (const std::string &arg : workerArgs())
+        serve_argv.push_back(arg);
+    Service serve(serve_argv, dir, "serve");
     perfbench::LineClient serve_client(serve.port());
     perfbench::LineClient lb_client(fleet.port());
 
@@ -868,10 +894,11 @@ fingerprint(const Options &o)
     fp["build_type"] = PERFBENCH_BUILD_TYPE;
     fp["git_sha"] = PERFBENCH_GIT_SHA;
     fp["source_digest"] = o.sourceDigest;
-    fp["deployment"] = "perfbench_lb + " + std::to_string(kWorkers) +
-                       " redqaoa_serve workers x " +
-                       std::to_string(kWorkerThreads) +
-                       " threads, store off";
+    std::string worker_args;
+    for (const std::string &arg : workerArgs())
+        worker_args += " " + arg;
+    fp["deployment"] = "redqaoa_lb --workers " + std::to_string(kWorkers) +
+                       ", workers:" + worker_args + ", store off";
     return fp;
 }
 
@@ -879,7 +906,7 @@ fingerprint(const Options &o)
 void
 layerMetrics(const perfbench::WorkloadSpec &spec, const Ladder &ladder,
              const Gate &gate, const Gate &traced, const Counters &counters,
-             double plain_rps, double traced_rps, Metrics &metrics,
+             const std::vector<double> &overhead_ratios, Metrics &metrics,
              json::Value &report)
 {
     // Ladder self times: median over passes of (rung - rung beneath).
@@ -955,14 +982,16 @@ layerMetrics(const perfbench::WorkloadSpec &spec, const Ladder &ladder,
                                                  "count"};
     metrics["opt.restarts_self_us"] = {mean(restarts_self), "us"};
     metrics["service.unattributed_share"] = {mean(unattributed), "ratio"};
-    metrics["trace_overhead"] = {1.0 - traced_rps / plain_rps, "ratio"};
+    metrics["trace_overhead"] = {
+        1.0 - perfbench::median(overhead_ratios), "ratio"};
 
     // Counters of the workers and the front.
     const EngineStats &e = counters.engine;
     const auto u = [](std::uint64_t v) { return static_cast<double>(v); };
     metrics["engine.memo_hit_rate"] = {e.memoHitRate(), "ratio"};
-    // Every computed deterministic point enters the point memo once.
-    metrics["engine.memo_entries"] = {u(e.evaluated), "count"};
+    // Points the engines computed (memo misses, trajectory points too):
+    // the memo's size only while memos never evict.
+    metrics["engine.points_computed"] = {u(e.evaluated), "count"};
     metrics["engine.evaluated_per_req"] = {
         ratio(u(e.evaluated), counters.executed), "count"};
     metrics["engine.evaluator_hit_rate"] = {e.evaluatorHitRate(), "ratio"};
@@ -992,8 +1021,10 @@ layerMetrics(const perfbench::WorkloadSpec &spec, const Ladder &ladder,
     lad["requests_per_pass"] = spec.ladderRequests;
     lad["tally"] = ladder.tally.toJson();
     report["ladder"] = std::move(lad);
-    report["plain_rps"] = plain_rps;
-    report["traced_rps"] = traced_rps;
+    json::Value ratios = json::Value::array();
+    for (double r : overhead_ratios)
+        ratios.push(r);
+    report["traced_to_plain_rates"] = std::move(ratios);
     report["traced"] = traced.tally.toJson();
 }
 
@@ -1016,6 +1047,17 @@ properties(const Workload &w, const Gate &gate)
     for (std::size_t n : gate.lanes)
         lanes.push(static_cast<double>(n));
     props["lane_split"] = std::move(lanes);
+    // Connections are pinned to lanes, so lane_split is even by
+    // construction. Unpinned traffic, drawing every graph alike, would
+    // split as the route key splits the graph set.
+    json::Value route_split = json::Value::array();
+    for (int lane = 0; lane < perfbench::kWorkers; ++lane) {
+        int graphs = 0;
+        for (int g = 0; g < static_cast<int>(w.graphs().size()); ++g)
+            graphs += w.lane(g) == lane ? 1 : 0;
+        route_split.push(graphs);
+    }
+    props["unpinned_lane_split"] = std::move(route_split);
     double edges = 0.0;
     for (const Graph &g : w.graphs())
         edges += g.numEdges();
@@ -1079,8 +1121,9 @@ run(const Options &o)
     perfbench::Tally tally;
 
     if (!o.trace) {
-        const Load load = drive(w, fleet->port(), perfbench::kLoadStream,
-                                o.seconds, false);
+        const Load load =
+            drive(w, fleet->port(), perfbench::kLoadStream, o.seconds, false,
+                  static_cast<std::size_t>(spec.minPerConnection));
         const double rss = peakRssMb(*fleet);
         fleet->shutdown();
         ThreadPool::setGlobalThreads(hw);
@@ -1090,13 +1133,15 @@ run(const Options &o)
         std::sort(sorted.begin(), sorted.end());
         const double q = spec.tailQuantile;
         std::size_t per_window = 0;
-        const double tail_us = perfbench::windowedTail(
+        std::size_t p50_per_window = 0;
+        const double tail_us = perfbench::windowedPercentile(
             load.completions(), q, kWindows, per_window);
-        if (perfbench::tailQuantile(per_window) < q)
+        if (perfbench::samplesBeyond(per_window, q) < 10)
             throw std::runtime_error("too few answers for the tail");
+        const double p50_us = perfbench::windowedPercentile(
+            load.completions(), 0.5, kWindows, p50_per_window);
         metrics["throughput_rps"] = {load.rps(), "1/s"};
-        metrics["latency_p50_ms"] = {
-            perfbench::percentile(sorted, 0.5) / 1e3, "ms"};
+        metrics["latency_p50_ms"] = {p50_us / 1e3, "ms"};
         metrics["latency_tail_ms"] = {tail_us / 1e3, "ms"};
         metrics["setup_s"] = {perfbench::median(setups), "s"};
         metrics["peak_rss_mb"] = {rss, "MB"};
@@ -1110,31 +1155,60 @@ run(const Options &o)
             static_cast<double>(perfbench::samplesBeyond(per_window, q));
         tail["whole_run_ms"] = perfbench::percentile(sorted, q) / 1e3;
         report["latency_tail"] = std::move(tail);
+        json::Value p50 = json::Value::object();
+        p50["samples_per_window"] = static_cast<double>(p50_per_window);
+        p50["whole_run_ms"] = perfbench::percentile(sorted, 0.5) / 1e3;
+        report["latency_p50"] = std::move(p50);
         json::Value rates = json::Value::array();
         for (double r : perfbench::windowRates(load.completions(), kWindows))
             rates.push(r);
         report["window_rates"] = std::move(rates);
         report["elapsed_s"] = load.elapsedS;
     } else {
-        // Plain then traced load at the same concurrency, half the run
-        // each; the traced phase sends fresh points of its own streams.
-        const Load plain = drive(w, fleet->port(), perfbench::kLoadStream,
-                                 o.seconds / 2, false);
-        const Load traced = drive(w, fleet->port(),
-                                  perfbench::kTracedStream, o.seconds / 2,
-                                  true);
+        // A plain warm-up phase, whose answers give the quality sample,
+        // then short plain and traced phases in turn on the same fleet
+        // (ABBA order). Every phase sends fresh points of its own
+        // streams. trace_overhead comes from the pairwise rate ratios,
+        // so drift of the machine falls on both sides of each pair.
+        const Load warm =
+            drive(w, fleet->port(), perfbench::kLoadStream, o.seconds * 0.2,
+                  false, static_cast<std::size_t>(spec.minPerConnection));
+        const double sub_s = o.seconds * 0.8 / (2 * kOverheadPairs);
+        std::vector<Load> plain(kOverheadPairs);
+        std::vector<Load> traced(kOverheadPairs);
+        for (std::size_t j = 0; j < kOverheadPairs; ++j) {
+            for (bool trace_phase : {j % 2 == 1, j % 2 == 0}) {
+                const std::uint64_t base = (trace_phase
+                                                ? perfbench::kTracedStream
+                                                : perfbench::kPlainStream) +
+                                           perfbench::kShards * j;
+                (trace_phase ? traced : plain)[j] =
+                    drive(w, fleet->port(), base, sub_s, trace_phase,
+                          kOverheadMinPerConnection);
+            }
+        }
         const Counters counters =
             collectCounters(*fleet, perfbench::methodName(spec.kind));
         ThreadPool::setGlobalThreads(kWorkerThreads);
         const Ladder ladder = runLadder(w, *fleet, dir);
         fleet->shutdown();
         ThreadPool::setGlobalThreads(hw);
-        gatePhase(w, plain, perfbench::kLoadStream, false, gate);
-        gatePhase(w, traced, perfbench::kTracedStream, true, traced_gate);
+        gatePhase(w, warm, perfbench::kLoadStream, false, gate);
+        Gate plain_gate;
+        std::vector<double> ratios;
+        for (std::size_t j = 0; j < kOverheadPairs; ++j) {
+            const std::uint64_t step = perfbench::kShards * j;
+            gatePhase(w, plain[j], perfbench::kPlainStream + step, false,
+                      plain_gate);
+            gatePhase(w, traced[j], perfbench::kTracedStream + step, true,
+                      traced_gate);
+            ratios.push_back(traced[j].rate() / plain[j].rate());
+        }
+        addTally(tally, plain_gate.tally);
         addTally(tally, traced_gate.tally);
         addTally(tally, ladder.tally);
-        layerMetrics(spec, ladder, gate, traced_gate, counters, plain.rps(),
-                     traced.rps(), metrics, report);
+        layerMetrics(spec, ladder, gate, traced_gate, counters, ratios,
+                     metrics, report);
     }
     addTally(tally, gate.tally);
 

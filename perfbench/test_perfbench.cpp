@@ -81,25 +81,42 @@ TEST(Generator, RepeatShareAndRepeatsReuseAnEarlierPoint)
     EXPECT_NEAR(static_cast<double>(repeats) / n, 0.5, 0.03);
 }
 
-TEST(Generator, ConnectionsStayOnTheirLaneAndCoverIt)
+TEST(Generator, ConnectionsStayOnTheirExecutorAndCoverIt)
 {
-    for (const char *name : {"eval_batch", "optimize_p2", "pipeline_red"}) {
-        const WorkloadSpec &spec = *findWorkload(name);
+    for (const WorkloadSpec &spec : workloads()) {
         Workload w(spec, 5);
         std::set<int> graphs;
         for (int c = 0; c < spec.connections; ++c) {
             int pool = 0;
             for (int g = 0; g < spec.graphs; ++g)
-                pool += w.lane(g) == c % kWorkers ? 1 : 0;
+                pool += w.slot(g) % spec.connections == c ? 1 : 0;
             Workload::Stream stream(w, static_cast<std::uint64_t>(c));
             for (int i = 0; i < pool; ++i) {
                 Draw d = stream.next();
-                EXPECT_EQ(w.lane(d.graph), c % kWorkers) << name;
+                if (d.repeat)
+                    continue;
+                EXPECT_EQ(w.lane(d.graph), c % kWorkers) << spec.name;
+                EXPECT_EQ(w.slot(d.graph) % spec.connections, c)
+                    << spec.name;
                 graphs.insert(d.graph);
             }
         }
-        EXPECT_EQ(static_cast<int>(graphs.size()), spec.graphs) << name;
+        // eval_small repeats half its draws, so covers only part.
+        if (spec.repeatShare == 0.0)
+            EXPECT_EQ(static_cast<int>(graphs.size()), spec.graphs)
+                << spec.name;
     }
+}
+
+TEST(Generator, ConnectionCountsFitTheDeployment)
+{
+    for (const WorkloadSpec &spec : workloads()) {
+        EXPECT_EQ(spec.connections % kWorkers, 0) << spec.name;
+        EXPECT_EQ(kShards % spec.connections, 0) << spec.name;
+    }
+    WorkloadSpec bad = *findWorkload("eval_batch");
+    bad.connections = 3;
+    EXPECT_THROW(Workload(bad, 1), std::invalid_argument);
 }
 
 TEST(Generator, GraphSetMatchesTheSpec)
@@ -164,23 +181,40 @@ TEST(Statistics, WindowedRateIgnoresAStall)
     EXPECT_THROW(windowRates(done, 2000), std::invalid_argument);
 }
 
-TEST(Statistics, WindowedTailKeepsTenSamplesBeyond)
+TEST(Statistics, WindowedPercentileKeepsTenSamplesBeyond)
 {
     std::vector<Completion> done;
     for (int i = 0; i < 30000; ++i)
         done.push_back({i * 1e-3, static_cast<double>(i % 100)});
     std::size_t per = 0;
     // 20 windows of 1500 keep 15 beyond p99.
-    EXPECT_DOUBLE_EQ(windowedTail(done, 0.99, 20, per), 98.0);
+    EXPECT_DOUBLE_EQ(windowedPercentile(done, 0.99, 20, per), 98.0);
     EXPECT_EQ(per, 1500u);
     EXPECT_GE(samplesBeyond(per, 0.99), 10u);
     // 3000 samples allow only 3 windows for p99: one window instead.
     done.resize(3000);
-    windowedTail(done, 0.99, 20, per);
+    windowedPercentile(done, 0.99, 20, per);
     EXPECT_EQ(per, 3000u);
     done.resize(150);
-    windowedTail(done, 0.9, 20, per);
+    windowedPercentile(done, 0.9, 20, per);
     EXPECT_EQ(per, 150u);
+    // The median keeps 20 windows down to 400 samples; window p50s are
+    // 9, 29, 49, 69, 89, four times each.
+    done.clear();
+    for (int i = 0; i < 400; ++i)
+        done.push_back({i * 1e-3, static_cast<double>(i % 100)});
+    EXPECT_DOUBLE_EQ(windowedPercentile(done, 0.5, 20, per), 49.0);
+    EXPECT_EQ(per, 20u);
+}
+
+TEST(Statistics, WindowedMedianIgnoresAStall)
+{
+    // 1 ms answers, except a run of 9 ms ones in a fifth of the run.
+    std::vector<Completion> done;
+    for (int i = 0; i < 1000; ++i)
+        done.push_back({i * 1e-2, (i >= 400 && i < 600) ? 9.0 : 1.0});
+    std::size_t per = 0;
+    EXPECT_DOUBLE_EQ(windowedPercentile(done, 0.5, 20, per), 1.0);
 }
 
 TEST(Statistics, QuartilesMatchPythonStatistics)

@@ -35,6 +35,15 @@ namespace json = redqaoa::json;
 /** Worker processes behind the front, and so its routing lanes. */
 inline constexpr int kWorkers = 2;
 
+/**
+ * Engine shards per worker, each with its own executor. The front and
+ * the workers place a request by the same key (route hash % lanes, then
+ * % shards), so with 2 lanes and 4 shards the graphs of lane k land on
+ * shards k and k + 2 of worker k: two executors per worker, enough for
+ * four single-threaded requests at a time, one per core.
+ */
+inline constexpr int kShards = 4;
+
 enum class Kind
 {
     Evaluate,
@@ -47,7 +56,11 @@ struct WorkloadSpec
 {
     std::string name;
     Kind kind = Kind::Evaluate;
-    int connections = 1; //!< Closed-loop client connections.
+    /**
+     * Closed-loop client connections: a multiple of kWorkers dividing
+     * kShards. Each is pinned to one lane and, at four, to one shard.
+     */
+    int connections = 2;
     int graphs = 1;      //!< Distinct graphs requests cycle over.
     int minNodes = 6;    //!< Node counts cycle minNodes..maxNodes.
     int maxNodes = 6;
@@ -98,8 +111,10 @@ class Workload
     const std::vector<Graph> &graphs() const { return graphs_; }
     /** Brute-force max cut of graph @p i (approximation ratios). */
     int maxCut(int i) const { return maxCuts_[static_cast<std::size_t>(i)]; }
-    /** The front lane graph @p i routes to (requestRouteHash % kWorkers). */
-    int lane(int i) const { return lanes_[static_cast<std::size_t>(i)]; }
+    /** Graph @p i's route hash % kShards: its shard on its lane's worker. */
+    int slot(int i) const { return slots_[static_cast<std::size_t>(i)]; }
+    /** The front lane graph @p i routes to (route hash % kWorkers). */
+    int lane(int i) const { return slot(i) % kWorkers; }
 
     /** The wire request of @p draw with id @p id (schema v2). */
     std::string render(const Draw &draw, std::uint64_t id,
@@ -128,14 +143,19 @@ class Workload
     std::vector<Graph> graphs_;
     std::vector<std::string> graphJson_; //!< Rendered once per graph.
     std::vector<int> maxCuts_;
-    std::vector<int> lanes_;              //!< Front lane per graph.
-    std::vector<std::vector<int>> pools_; //!< Graphs per lane (never
-                                          //!< empty: all graphs then).
+    std::vector<int> slots_;              //!< Route slot per graph.
+    std::vector<std::vector<int>> pools_; //!< Graphs per connection
+                                          //!< (never empty: all then).
 };
 
-/** Stream ids: load connections, traced connections, ladder passes. */
+/**
+ * Stream ids: load connections, traced and plain phases of the traced
+ * run (each phase's connections start at a multiple of kShards, so
+ * connection c keeps pool c), and ladder passes.
+ */
 inline constexpr std::uint64_t kLoadStream = 0;
 inline constexpr std::uint64_t kTracedStream = 100;
+inline constexpr std::uint64_t kPlainStream = 200;
 inline constexpr std::uint64_t kLadderStream = 1000;
 
 // ---------------------------------------------------------------------
@@ -172,14 +192,14 @@ std::vector<double> windowRates(std::vector<Completion> done,
                                 std::size_t windows);
 
 /**
- * Tail latency robust to stalls: the median, over time-ordered windows
- * of equal count, of each window's @p q percentile (µs). Windows are as
- * many as keep ten samples beyond q in each, at most @p max_windows;
- * below five, the whole run is one window. @p per_window receives the
- * samples per window.
+ * A latency percentile robust to stalls: the median, over time-ordered
+ * windows of equal count, of each window's @p q percentile (µs).
+ * Windows are as many as keep ten samples beyond q in each, at most
+ * @p max_windows; below five, the whole run is one window. @p per_window
+ * receives the samples per window.
  */
-double windowedTail(std::vector<Completion> done, double q,
-                    std::size_t max_windows, std::size_t &per_window);
+double windowedPercentile(std::vector<Completion> done, double q,
+                          std::size_t max_windows, std::size_t &per_window);
 
 /**
  * Quartiles as Python's statistics.quantiles(xs, n=4) gives them (the
