@@ -11,14 +11,17 @@
 # through one redqaoa_serve over stdio (responses are pure functions
 # of request content, so this is THE expected byte sequence no matter
 # how many workers, lanes, or retries sit in between).
-# Part 2 starts redqaoa_lb with 3 workers, arms worker-side aborts
-# (every worker crashes at its 40th request — including restarted
-# generations) and front-side connection resets (every 40th client
-# request starting at the 10th), then drives the same request set
-# through a retrying client. The run passes only if every id is
-# answered exactly once with the baseline's exact bytes, the final
-# health document shows all workers up with >= 2 restarts and >= 5
-# injected resets, and the lb shuts down cleanly on request.
+# Part 2 starts redqaoa_lb with 3 workers of 2 shards each (so every
+# lane runs two forwarders with a request in flight on each), arms
+# worker-side aborts (every worker crashes at its 40th request —
+# including restarted generations) and front-side connection resets
+# (every 40th client request starting at the 10th), then drives the
+# same request set through 4 concurrent retrying client connections,
+# so a crash can tear several forwards of one lane at once. The run
+# passes only if every id is answered exactly once with the baseline's
+# exact bytes, the final health document shows all workers up with
+# >= 2 restarts and >= 5 injected resets, and the lb shuts down
+# cleanly on request.
 set -euo pipefail
 
 LB=${1:?usage: chaos_smoke.sh <redqaoa_lb> <redqaoa_serve>}
@@ -96,6 +99,7 @@ echo "== chaos smoke: fault-free baseline (stdio, single server) =="
 echo "== chaos smoke: 3-worker fleet under injected aborts + resets =="
 rm -f "$workdir/port.txt"
 "$LB" --serve-bin "$SERVE" --workers 3 \
+    --worker-arg --shards --worker-arg 2 \
     --port-file "$workdir/port.txt" \
     --worker-faults "abort@40" \
     --faults "reset@10/40" \
@@ -120,7 +124,7 @@ grep -q "FAULT INJECTION ARMED" "$workdir/lb.log" || {
 }
 
 python3 - "$port" "$workdir/requests.ndjson" "$workdir/baseline.ndjson" <<'EOF'
-import json, socket, sys, time
+import json, socket, sys, threading, time
 
 port = int(sys.argv[1])
 requests = [l for l in open(sys.argv[2]).read().splitlines() if l.strip()]
@@ -131,69 +135,102 @@ for line in open(sys.argv[3]).read().splitlines():
 assert len(baseline) == len(requests), (len(baseline), len(requests))
 
 RETRYABLE = {"overloaded", "worker_failed", "shutting_down"}
+CONNECTIONS = 4
 
-sock = None
-reader = None
 
-def connect():
-    global sock, reader
-    for attempt in range(50):
-        try:
-            sock = socket.create_connection(("127.0.0.1", port), timeout=30)
-            reader = sock.makefile("r")
-            return
-        except OSError:
-            time.sleep(0.05)
-    raise SystemExit("could not (re)connect to the lb")
+class Connection:
+    """One client connection that absorbs failures by resending."""
 
-def drop():
-    global sock, reader
-    for closing in (reader, sock):
-        try:
-            if closing is not None:
-                closing.close()
-        except OSError:
-            pass
-    sock = reader = None
+    def __init__(self):
+        self.sock = None
+        self.reader = None
 
-def exchange(line):
-    """One request line -> one response line, absorbing failures.
+    def connect(self):
+        for attempt in range(50):
+            try:
+                self.sock = socket.create_connection(("127.0.0.1", port),
+                                                     timeout=30)
+                self.reader = self.sock.makefile("r")
+                return
+            except OSError:
+                time.sleep(0.05)
+        raise SystemExit("could not (re)connect to the lb")
 
-    Connection errors (injected resets, lb restarts) reconnect and
-    resend; typed retryable errors back off and resend. Anything else
-    is a hard failure. Safe only because every request is pure.
-    """
-    for attempt in range(25):
-        if sock is None:
-            connect()
-        try:
-            sock.sendall((line + "\n").encode())
-            response = reader.readline()
-        except OSError:
-            drop()
-            continue
-        if not response.endswith("\n"):
-            drop()  # EOF or a torn frame: never parse it.
-            continue
-        response = response.rstrip("\n")
-        doc = json.loads(response)
-        if not doc.get("ok") and doc.get("error", {}).get("code") in RETRYABLE:
-            time.sleep(0.02 * (attempt + 1))
-            continue
-        return response
-    raise SystemExit(f"retry budget exhausted for: {line[:80]}")
+    def drop(self):
+        for closing in (self.reader, self.sock):
+            try:
+                if closing is not None:
+                    closing.close()
+            except OSError:
+                pass
+        self.sock = self.reader = None
 
-def call(doc):
-    return json.loads(exchange(json.dumps(doc)))
+    def exchange(self, line):
+        """One request line -> one response line, absorbing failures.
 
-connect()
-t0 = time.time()
+        Connection errors (injected resets, lb restarts) reconnect and
+        resend; typed retryable errors back off and resend. Anything
+        else is a hard failure. Safe only because every request is pure.
+        """
+        for attempt in range(25):
+            if self.sock is None:
+                self.connect()
+            try:
+                self.sock.sendall((line + "\n").encode())
+                response = self.reader.readline()
+            except OSError:
+                self.drop()
+                continue
+            if not response.endswith("\n"):
+                self.drop()  # EOF or a torn frame: never parse it.
+                continue
+            response = response.rstrip("\n")
+            doc = json.loads(response)
+            if not doc.get("ok") and \
+                    doc.get("error", {}).get("code") in RETRYABLE:
+                time.sleep(0.02 * (attempt + 1))
+                continue
+            return response
+        raise SystemExit(f"retry budget exhausted for: {line[:80]}")
+
+    def call(self, doc):
+        return json.loads(self.exchange(json.dumps(doc)))
+
+
+# Connection k sends every CONNECTIONS-th request from the k-th on, so
+# all lanes see concurrent forwards from several client connections.
 answered = {}
-for line in requests:
-    rid = json.loads(line)["id"]
-    response = exchange(line)
-    assert rid not in answered, f"id {rid} answered twice"
-    answered[rid] = response
+duplicates = []
+errors = []
+lock = threading.Lock()
+
+
+def drive(k):
+    conn = Connection()
+    try:
+        for line in requests[k::CONNECTIONS]:
+            rid = json.loads(line)["id"]
+            response = conn.exchange(line)
+            with lock:
+                if rid in answered:
+                    duplicates.append(rid)
+                answered[rid] = response
+    except BaseException as e:  # SystemExit included: report, not hang.
+        with lock:
+            errors.append(f"connection {k}: {e}")
+    finally:
+        conn.drop()
+
+
+t0 = time.time()
+threads = [threading.Thread(target=drive, args=(k,))
+           for k in range(CONNECTIONS)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+assert not errors, errors
+assert not duplicates, f"ids answered twice: {duplicates[:10]}"
 
 # Exactly once, byte-identical to the fault-free run.
 assert len(answered) == len(requests), (len(answered), len(requests))
@@ -206,6 +243,8 @@ elapsed = time.time() - t0
 
 # The fleet must converge: every worker back up, restarts recorded,
 # and the front's fault plane must have actually fired.
+control = Connection()
+call = control.call
 deadline = time.time() + 30
 while True:
     health = call({"id": "health-final", "method": "health"})
@@ -223,6 +262,8 @@ assert restarts >= 2, f"expected >= 2 worker restarts, saw {restarts}"
 assert h["faults"]["injected"]["reset"] >= 5, h["faults"]
 assert h["served"] >= len(requests), h
 assert h["in_flight"] == 0, h
+# 2-shard workers: every lane forwarded on two connections at once.
+assert h["forwarders"] == [2, 2, 2], h["forwarders"]
 
 bye = call({"id": "bye", "method": "shutdown"})
 assert bye["ok"] and bye["result"]["stopping"], bye

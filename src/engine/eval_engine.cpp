@@ -187,7 +187,7 @@ EvalEngine::drain()
         EvalBackend kind =
             resolveBackend(job->spec, job->graph, job->params.size());
         if (profiler.enabled())
-            profiler.count(std::string("backend.") + backendName(kind));
+            profiler.count(backendCounterName(kind));
         if (!deterministicBackend(kind)) {
             trajectoryJobs.push_back(job);
             continue;

@@ -26,6 +26,26 @@ backendName(EvalBackend kind)
     throw std::logic_error("backendName: unknown backend");
 }
 
+const char *
+backendCounterName(EvalBackend kind)
+{
+    switch (kind) {
+    case EvalBackend::Auto:
+        return "backend.auto";
+    case EvalBackend::Statevector:
+        return "backend.statevector";
+    case EvalBackend::StatevectorBatched:
+        return "backend.statevector_batched";
+    case EvalBackend::AnalyticP1:
+        return "backend.analytic-p1";
+    case EvalBackend::Lightcone:
+        return "backend.lightcone";
+    case EvalBackend::Trajectory:
+        return "backend.trajectory";
+    }
+    throw std::logic_error("backendCounterName: unknown backend");
+}
+
 EvalSpec
 EvalSpec::ideal(int p, int exact_qubit_limit)
 {

@@ -51,6 +51,9 @@ constexpr std::size_t kBatchedPointsThreshold =
 /** Registry name of a backend ("auto", "statevector", ...). */
 const char *backendName(EvalBackend kind);
 
+/** Profiler counter of a backend: "backend." + backendName(kind). */
+const char *backendCounterName(EvalBackend kind);
+
 /** Everything needed to construct (or cache) one evaluator. */
 struct EvalSpec
 {

@@ -27,7 +27,7 @@ countBackend(EvalBackend kind)
 {
     obs::Profiler &profiler = obs::Profiler::global();
     if (profiler.enabled())
-        profiler.count(std::string("backend.") + backendName(kind));
+        profiler.count(backendCounterName(kind));
 }
 
 int

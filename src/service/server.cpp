@@ -854,7 +854,9 @@ TcpServiceListener::acceptReady()
         if (conns_.size() >= opts.maxConnections) {
             // Bounce with the protocol's typed backpressure signal —
             // one best-effort line (a fresh socket's send buffer
-            // always holds it), then close.
+            // always holds it), then close. Counted first, so a client
+            // that has read the bounce also sees it counted.
+            ++bounced_;
             std::string line = makeErrorLine(
                 json::Value(), ServiceErrorCode::Overloaded,
                 "connection limit reached (" +
@@ -865,7 +867,6 @@ TcpServiceListener::acceptReady()
                 ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
             (void)sent;
             ::close(fd);
-            ++bounced_;
             continue;
         }
         int one = 1;

@@ -32,6 +32,38 @@ millisSince(std::chrono::steady_clock::time_point then,
     return std::chrono::duration<double, std::milli>(now - then).count();
 }
 
+/**
+ * One request line to a worker on a fresh loopback connection, with
+ * @p timeout_ms bounding the connect and the reply. False on any
+ * transport failure or an unparseable reply.
+ */
+bool
+callWorker(int port, int timeout_ms, const std::string &line,
+           Response &out)
+{
+    int fd = detail::connectLoopback(port, timeout_ms);
+    if (fd < 0)
+        return false;
+    timeval tv;
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    bool ok = false;
+    if (detail::writeLine(fd, line)) {
+        detail::FdLineReader reader(fd);
+        std::string reply;
+        if (reader.readLine(reply)) {
+            try {
+                out = parseResponse(reply);
+                ok = true;
+            } catch (...) {
+            }
+        }
+    }
+    ::close(fd);
+    return ok;
+}
+
 /** Human-readable waitpid status ("exit 70", "signal 9"). */
 std::string
 describeExit(int status)
@@ -210,38 +242,21 @@ WorkerSupervisor::probeHealth(int port, EngineStats &engine_out) const
 {
     const int timeout_ms =
         std::max(1, static_cast<int>(opts_.probeTimeoutMs));
-    int fd = detail::connectLoopback(port, timeout_ms);
-    if (fd < 0)
+    Response resp;
+    if (!callWorker(port, timeout_ms, R"({"id": 0, "method": "health"})",
+                    resp) ||
+        !resp.ok)
         return false;
-    timeval tv;
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    bool ok = false;
-    if (detail::writeLine(fd,
-                          "{\"id\": 0, \"method\": \"health\"}")) {
-        detail::FdLineReader reader(fd);
-        std::string line;
-        if (reader.readLine(line)) {
-            try {
-                Response resp = parseResponse(line);
-                ok = resp.ok;
-                // Liveness probes double as stat collection: the
-                // worker's engine counters ride on its health document
-                // (missing on older workers -> zeros).
-                if (ok) {
-                    const json::Value *engine =
-                        resp.result.find("engine");
-                    engine_out = engine ? engineStatsFromJson(*engine)
-                                        : EngineStats{};
-                }
-            } catch (...) {
-                ok = false;
-            }
-        }
+    // Liveness probes double as stat collection: the worker's engine
+    // counters ride on its health document (missing on older workers
+    // -> zeros).
+    try {
+        const json::Value *engine = resp.result.find("engine");
+        engine_out = engine ? engineStatsFromJson(*engine) : EngineStats{};
+    } catch (...) {
+        return false;
     }
-    ::close(fd);
-    return ok;
+    return true;
 }
 
 void
@@ -488,9 +503,39 @@ WorkerFleetService::WorkerFleetService(WorkerDirectory &workers,
     lanes_.reserve(workers_.workerCount());
     for (std::size_t i = 0; i < workers_.workerCount(); ++i)
         lanes_.push_back(std::make_unique<Lane>());
-    for (std::size_t i = 0; i < lanes_.size(); ++i)
-        lanes_[i]->forwarder =
-            std::thread([this, i] { forwarderLoop(i); });
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+        const std::size_t count = forwarderCount(i);
+        for (std::size_t k = 0; k < count; ++k)
+            lanes_[i]->forwarders.emplace_back(
+                [this, i] { forwarderLoop(i); });
+    }
+}
+
+std::size_t
+WorkerFleetService::forwarderCount(std::size_t index)
+{
+    // One forwarder per worker executor, capped so the lb alone can
+    // never make the worker bounce its traffic: F in-flight forwards
+    // that all hash to one shard leave one executing and F - 1 in a
+    // queue of queue_capacity, and one connection slot stays free for
+    // the supervisor's health probe. No answer keeps one forwarder.
+    WorkerEndpoint ep;
+    Response resp;
+    if (workers_.endpoint(index, ep) != LaneState::Up ||
+        !callWorker(ep.port, 2000, R"({"id": 0, "method": "hello"})",
+                    resp) ||
+        !resp.ok)
+        return 1;
+    auto field = [&](const char *key) {
+        const json::Value *v = resp.result.find(key);
+        return v != nullptr && v->isNumber() && v->asNumber() >= 1.0
+                   ? static_cast<std::size_t>(v->asNumber())
+                   : std::size_t{1};
+    };
+    const std::size_t count =
+        std::min({field("shards"), field("queue_capacity") + 1,
+                  field("max_connections") - 1});
+    return std::max<std::size_t>(count, 1);
 }
 
 WorkerFleetService::~WorkerFleetService()
@@ -545,9 +590,16 @@ WorkerFleetService::healthResult() const
     // workers emit), so the lb surfaces the warm-start store traffic.
     doc["engine"] = workers_.engineStats().toJson();
     json::Value depths = json::Value::array();
-    for (const auto &lane : lanes_)
+    json::Value forwarders = json::Value::array();
+    json::Value busy = json::Value::array();
+    for (const auto &lane : lanes_) {
         depths.push(json::Value(lane->queue.size()));
+        forwarders.push(json::Value(lane->forwarders.size()));
+        busy.push(json::Value(lane->busy));
+    }
     doc["queue_depths"] = std::move(depths);
+    doc["forwarders"] = std::move(forwarders);
+    doc["busy"] = std::move(busy);
     doc["in_flight"] = static_cast<std::size_t>(inFlight_);
     doc["served"] = static_cast<std::size_t>(served_);
     doc["forwarded"] = static_cast<std::size_t>(forwarded_);
@@ -570,6 +622,8 @@ WorkerFleetService::metricsSnapshot() const
     std::uint64_t worker_failures = 0;
     std::uint64_t in_flight = 0;
     std::vector<std::size_t> depths;
+    std::vector<std::size_t> forwarders;
+    std::vector<std::size_t> busy;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         uptime = std::chrono::duration<double>(Clock::now() - startTime_)
@@ -580,9 +634,11 @@ WorkerFleetService::metricsSnapshot() const
         replays = replays_;
         worker_failures = workerFailures_;
         in_flight = inFlight_;
-        depths.reserve(lanes_.size());
-        for (const auto &lane : lanes_)
+        for (const auto &lane : lanes_) {
             depths.push_back(lane->queue.size());
+            forwarders.push_back(lane->forwarders.size());
+            busy.push_back(lane->busy);
+        }
     }
     obs::addProcessMetrics(snapshot, uptime, ::getpid());
 
@@ -605,11 +661,20 @@ WorkerFleetService::metricsSnapshot() const
         u64(worker_failures));
     snapshot.gauge("redqaoa_in_flight",
                    "Admitted requests not yet answered.", u64(in_flight));
-    for (std::size_t i = 0; i < depths.size(); ++i)
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        const std::string lane = std::to_string(i);
         snapshot.gauge("redqaoa_queue_depth",
                        "Forward queue depth per worker lane.",
-                       static_cast<double>(depths[i]),
-                       {{"lane", std::to_string(i)}});
+                       static_cast<double>(depths[i]), {{"lane", lane}});
+        snapshot.gauge("redqaoa_lb_lane_forwarders",
+                       "Forwarder threads per worker lane (one worker "
+                       "connection each).",
+                       static_cast<double>(forwarders[i]),
+                       {{"lane", lane}});
+        snapshot.gauge("redqaoa_lb_lane_busy",
+                       "Forwards in flight per worker lane.",
+                       static_cast<double>(busy[i]), {{"lane", lane}});
+    }
     const json::Value workers = workers_.statusJson();
     double restarts = 0.0;
     for (std::size_t i = 0; i < workers.asArray().size(); ++i) {
@@ -781,19 +846,19 @@ WorkerFleetService::submitLine(std::string line, ResponseCallback done)
 }
 
 LaneState
-WorkerFleetService::ensureConnected(std::size_t index, Lane &lane,
+WorkerFleetService::ensureConnected(std::size_t index, Connection &conn,
                                     std::uint64_t &generation_out)
 {
     WorkerEndpoint ep;
     const LaneState state = workers_.endpoint(index, ep);
     if (state != LaneState::Up) {
-        dropConnection(lane);
+        dropConnection(conn);
         return state;
     }
     generation_out = ep.generation;
-    if (lane.fd >= 0 && lane.generation == ep.generation)
+    if (conn.fd >= 0 && conn.generation == ep.generation)
         return LaneState::Up;
-    dropConnection(lane);
+    dropConnection(conn);
     int fd = detail::connectLoopback(ep.port, 2000);
     if (fd < 0) {
         // The endpoint claims Up but refuses: that generation is on
@@ -801,25 +866,25 @@ WorkerFleetService::ensureConnected(std::size_t index, Lane &lane,
         workers_.reportFailure(index, ep.generation);
         return LaneState::Restarting;
     }
-    lane.fd = fd;
-    lane.generation = ep.generation;
-    lane.reader = std::make_unique<detail::FdLineReader>(fd);
+    conn.fd = fd;
+    conn.generation = ep.generation;
+    conn.reader = std::make_unique<detail::FdLineReader>(fd);
     return LaneState::Up;
 }
 
 void
-WorkerFleetService::dropConnection(Lane &lane)
+WorkerFleetService::dropConnection(Connection &conn)
 {
-    if (lane.fd >= 0)
-        ::close(lane.fd);
-    lane.fd = -1;
-    lane.reader.reset();
+    if (conn.fd >= 0)
+        ::close(conn.fd);
+    conn.fd = -1;
+    conn.reader.reset();
 }
 
 void
-WorkerFleetService::forwardWithFailover(std::size_t index, Pending &p)
+WorkerFleetService::forwardWithFailover(std::size_t index,
+                                        Connection &conn, Pending &p)
 {
-    Lane &lane = *lanes_[index];
     const RouteInfo route{0, 0.0};
     const Clock::time_point failover_deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -865,7 +930,7 @@ WorkerFleetService::forwardWithFailover(std::size_t index, Pending &p)
 
         std::uint64_t generation = 0;
         const LaneState state =
-            ensureConnected(index, lane, generation);
+            ensureConnected(index, conn, generation);
         if (state == LaneState::Failed) {
             {
                 std::lock_guard<std::mutex> lock(mutex_);
@@ -908,15 +973,15 @@ WorkerFleetService::forwardWithFailover(std::size_t index, Pending &p)
         const std::int64_t forward_start =
             p.trace ? p.trace->sinceStartUs() : 0;
         std::string response;
-        const bool sent = detail::writeLine(lane.fd, p.line);
+        const bool sent = detail::writeLine(conn.fd, p.line);
         const bool got =
-            sent && lane.reader && lane.reader->readLine(response);
+            sent && conn.reader && conn.reader->readLine(response);
         if (!got) {
             // Reset / torn frame / worker death mid-exchange: report,
             // drop the connection, replay against the next
             // generation. Safe because routed methods are pure.
             workers_.reportFailure(index, generation);
-            dropConnection(lane);
+            dropConnection(conn);
             continue;
         }
 
@@ -927,13 +992,13 @@ WorkerFleetService::forwardWithFailover(std::size_t index, Pending &p)
             if (!parsed.ok &&
                 parsed.errorCode == ServiceErrorCode::ShuttingDown) {
                 workers_.reportFailure(index, generation);
-                dropConnection(lane);
+                dropConnection(conn);
                 continue;
             }
         } catch (...) {
             // Unparseable response line: treat as a torn frame.
             workers_.reportFailure(index, generation);
-            dropConnection(lane);
+            dropConnection(conn);
             continue;
         }
         if (p.trace) {
@@ -969,6 +1034,7 @@ void
 WorkerFleetService::forwarderLoop(std::size_t index)
 {
     Lane &lane = *lanes_[index];
+    Connection conn; // This forwarder's own; no other thread touches it.
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
         lane.wake.wait(
@@ -981,6 +1047,7 @@ WorkerFleetService::forwarderLoop(std::size_t index)
         Pending pending = std::move(lane.queue.front());
         lane.queue.pop_front();
         const bool draining = stopping_;
+        ++lane.busy;
         lock.unlock();
 
         if (draining) {
@@ -1001,12 +1068,13 @@ WorkerFleetService::forwarderLoop(std::size_t index)
                 pending.trace->addSpan(
                     {"lb.queue", "", 0,
                      pending.trace->sinceStartUs(), 1});
-            forwardWithFailover(index, pending);
+            forwardWithFailover(index, conn, pending);
         }
         lock.lock();
+        --lane.busy;
     }
     lock.unlock();
-    dropConnection(lane); // Forwarder-thread-only state; safe here.
+    dropConnection(conn);
 }
 
 bool
@@ -1038,8 +1106,9 @@ WorkerFleetService::stop()
     for (auto &lane : lanes_)
         lane->wake.notify_all();
     for (auto &lane : lanes_)
-        if (lane->forwarder.joinable())
-            lane->forwarder.join();
+        for (std::thread &forwarder : lane->forwarders)
+            if (forwarder.joinable())
+                forwarder.join();
 }
 
 } // namespace service

@@ -26,14 +26,28 @@
  *    (the SAME key the workers use for shard placement, so the
  *    same-graph -> same-worker -> same-shard bit-identity contract
  *    holds end to end), queued per lane (bounded; a full lane answers
- *    the typed `overloaded` bounce), and forwarded by one forwarder
- *    thread per lane, serialized one-in-flight — which preserves
- *    per-graph response purity and keeps each worker's admission
- *    queue from ever filling from the lb. hello / health / shutdown
- *    are answered by the lb itself (graph-free methods like stats
- *    home on lane 0); everything else is forwarded verbatim and the
- *    worker's response line is relayed untouched (byte-identical to
- *    talking to the worker directly).
+ *    the typed `overloaded` bounce), and forwarded by a pool of
+ *    forwarder threads per lane, each with its own worker connection
+ *    and one request in flight on it. hello / health / shutdown are
+ *    answered by the lb itself (graph-free methods like stats home on
+ *    lane 0); everything else is forwarded verbatim and the worker's
+ *    response line is relayed untouched (byte-identical to talking to
+ *    the worker directly).
+ *
+ * Lane concurrency: a lane runs one forwarder per worker executor,
+ * sized once at fleet start from the worker's own `hello` — its
+ * `shards`, capped at `queue_capacity + 1` and `max_connections - 1`
+ * (a worker that does not answer keeps one forwarder). Concurrent
+ * forwards keep response purity because every routed method is a pure
+ * function of request content — the same contract replay relies on —
+ * so the order in which a lane's forwards reach the worker cannot
+ * change any answer. The caps keep the worker from ever bouncing lb
+ * traffic: with F forwarders at most F requests are in flight on a
+ * worker, so even when all of them land on one shard, one executes
+ * and at most `queue_capacity` wait in its admission queue, and one
+ * connection slot stays free for the supervisor's health probe. The
+ * lb's own lane queue (`queueCapacity`) holds the requests waiting
+ * for a free forwarder.
  *
  * Failover: when a forward attempt dies mid-flight (connection reset,
  * torn frame, worker exit) or the worker answers `shutting_down`
@@ -249,7 +263,8 @@ class WorkerSupervisor : public WorkerDirectory
 /** Knobs of the fleet proxy. */
 struct FleetOptions
 {
-    /** Transport policy + per-lane queue bound (queueCapacity). */
+    /** Transport policy + per-lane queue bound (queueCapacity:
+     *  requests waiting for a free forwarder). */
     ServerOptions server;
     /** Forward attempts per request before `worker_failed`. */
     int replayBudget = 4;
@@ -262,7 +277,10 @@ struct FleetOptions
 class WorkerFleetService : public LineService
 {
   public:
-    /** @p workers must outlive this service. */
+    /**
+     * @p workers must outlive this service. Asks each lane's worker
+     * for its `hello` once, to size that lane's forwarder pool.
+     */
     explicit WorkerFleetService(WorkerDirectory &workers,
                                 FleetOptions opts = {});
     ~WorkerFleetService();
@@ -276,7 +294,7 @@ class WorkerFleetService : public LineService
     /**
      * Stop admitting (new lines are answered shutting_down), answer
      * every queued request with shutting_down, finish the in-flight
-     * forwards, and join the forwarders. Idempotent.
+     * forwards, and join every lane's forwarders. Idempotent.
      */
     void stop();
 
@@ -293,7 +311,8 @@ class WorkerFleetService : public LineService
      * The lb `health` document: {"status", "role": "lb",
      * "uptime_seconds", "pid", "workers": [per-lane status],
      * "engine" (fleet-summed EngineStats::toJson, incl. the store_*
-     * warm-start counters), "queue_depths": [per lane], "in_flight",
+     * warm-start counters), "queue_depths", "forwarders", "busy" (each
+     * one entry per lane; busy = forwards in flight), "in_flight",
      * "served", "forwarded", "replays", "worker_failures"[, "faults":
      * plane stats]}.
      */
@@ -332,27 +351,36 @@ class WorkerFleetService : public LineService
         std::shared_ptr<obs::TraceRecorder> trace;
     };
 
-    /** One worker lane: its queue, forwarder, and cached connection. */
-    struct Lane
+    /** One forwarder's worker connection, owned by that thread. */
+    struct Connection
     {
-        std::deque<Pending> queue;
-        std::condition_variable wake;
-        std::thread forwarder;
-        // Forwarder-thread-only connection cache.
         int fd = -1;
         std::uint64_t generation = 0;
         std::unique_ptr<detail::FdLineReader> reader;
     };
 
+    /** One worker lane: its queue and its forwarder pool. */
+    struct Lane
+    {
+        std::deque<Pending> queue;
+        std::condition_variable wake;
+        /** Fixed once the constructor returns. */
+        std::vector<std::thread> forwarders;
+        std::size_t busy = 0; //!< Forwards in flight (guarded by mutex_).
+    };
+
+    /** Pool size for lane @p index, read from the worker's hello. */
+    std::size_t forwarderCount(std::size_t index);
     void forwarderLoop(std::size_t index);
-    /** Forward @p p to lane @p index with failover; the response line
-     *  (or a typed lb error) is handed to p.done. */
-    void forwardWithFailover(std::size_t index, Pending &p);
-    /** Ensure lane's cached connection targets the current generation;
-     *  returns the state seen (Up means fd is valid). */
-    LaneState ensureConnected(std::size_t index, Lane &lane,
+    /** Forward @p p to lane @p index over @p conn with failover; the
+     *  response line (or a typed lb error) is handed to p.done. */
+    void forwardWithFailover(std::size_t index, Connection &conn,
+                             Pending &p);
+    /** Ensure @p conn targets lane @p index's current generation;
+     *  returns the state seen (Up means conn.fd is valid). */
+    LaneState ensureConnected(std::size_t index, Connection &conn,
                               std::uint64_t &generation_out);
-    void dropConnection(Lane &lane);
+    static void dropConnection(Connection &conn);
     json::Value helloDoc() const;
     obs::MetricsSnapshot metricsSnapshot() const;
 

@@ -141,6 +141,16 @@ TEST(BackendRegistry, PointAwareResolutionPromotesMultiPointJobs)
               std::string("statevector_batched"));
 }
 
+TEST(EvalEngine, BackendCounterNamesPrefixTheRegistryNames)
+{
+    for (EvalBackend kind :
+         {EvalBackend::Auto, EvalBackend::Statevector,
+          EvalBackend::StatevectorBatched, EvalBackend::AnalyticP1,
+          EvalBackend::Lightcone, EvalBackend::Trajectory})
+        EXPECT_EQ(backendCounterName(kind),
+                  std::string("backend.") + backendName(kind));
+}
+
 TEST(EvalEngine, BatchedJobsBitIdenticalToDirectEvaluator)
 {
     // Multi-point statevector jobs route through the batched sweep in

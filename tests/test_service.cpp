@@ -1123,6 +1123,7 @@ TEST(ServiceTcp, ConnectRetriesWithBoundedBackoff)
     copts.maxAttempts = 3;
     copts.backoffInitialMs = 5.0;
     copts.backoffMaxMs = 20.0;
+    copts.backoffJitter = false; // Jitter could shrink the sleeps.
     auto start = std::chrono::steady_clock::now();
     try {
         ServiceClient::connect(copts);
@@ -1397,12 +1398,15 @@ TEST(ServiceRetry, ZeroMaxRetriesSurfacesRetryableErrors)
  * fresh server on a fresh port with a bumped generation. An optional
  * per-lane fault plane chaoses the worker transport; the plane
  * persists across revives, so one-shot schedules fire once per test.
+ * Every lane's server runs with @p server_opts.
  */
 class TestWorkerDirectory : public service::WorkerDirectory
 {
   public:
     explicit TestWorkerDirectory(std::size_t lanes,
-                                 const std::string &fault_spec = "")
+                                 const std::string &fault_spec = "",
+                                 service::ServerOptions server_opts = {})
+        : serverOpts_(std::move(server_opts))
     {
         for (std::size_t i = 0; i < lanes; ++i) {
             auto lane = std::make_unique<Lane>();
@@ -1489,6 +1493,12 @@ class TestWorkerDirectory : public service::WorkerDirectory
         return failureReports_;
     }
 
+    /** Requests lane @p index's fault plane has seen (probes exempt). */
+    std::uint64_t faultPlaneRequests(std::size_t index) const
+    {
+        return lanes_[index]->faults.requestCount();
+    }
+
   private:
     struct Lane
     {
@@ -1501,7 +1511,7 @@ class TestWorkerDirectory : public service::WorkerDirectory
 
     void startLane(Lane &lane)
     {
-        lane.server = std::make_unique<ServiceServer>();
+        lane.server = std::make_unique<ServiceServer>(serverOpts_);
         lane.listener = std::make_unique<TcpServiceListener>(
             *lane.server, 0, &lane.faults);
     }
@@ -1514,6 +1524,7 @@ class TestWorkerDirectory : public service::WorkerDirectory
             lane.server->stop();
     }
 
+    service::ServerOptions serverOpts_;
     mutable std::mutex mutex_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::uint64_t failureReports_ = 0;
@@ -1531,13 +1542,17 @@ submitTo(service::WorkerFleetService &fleet, std::string line)
     return future;
 }
 
+/** Lane 0's entry of a per-lane lb health array ("queue_depths", ...). */
+double
+laneHealth(const service::WorkerFleetService &fleet, const char *key)
+{
+    return fleet.healthResult().find(key)->asArray()[0].asNumber();
+}
+
 double
 laneQueueDepth(const service::WorkerFleetService &fleet)
 {
-    return fleet.healthResult()
-        .find("queue_depths")
-        ->asArray()[0]
-        .asNumber();
+    return laneHealth(fleet, "queue_depths");
 }
 
 TEST(ServiceFleet, RelaysWorkerResponsesVerbatim)
@@ -1716,6 +1731,61 @@ TEST(ServiceFleet, StopDrainsEveryQueuedRequestWithATypedAnswer)
     for (std::future<std::string> &future : futures)
         EXPECT_EQ(errorCodeOf(future.get()),
                   ServiceErrorCode::ShuttingDown);
+}
+
+/** Shard a @p shards-shard worker homes request @p line on. */
+std::size_t
+homeShard(const std::string &line, std::size_t shards)
+{
+    std::uint64_t hash = 0;
+    EXPECT_TRUE(
+        service::requestRouteHash(service::parseRequest(line), hash));
+    return static_cast<std::size_t>(hash % shards);
+}
+
+TEST(ServiceFleet, LaneForwardsToEveryWorkerExecutorAtOnce)
+{
+    Rng rng(97);
+    std::vector<QaoaParams> points = randomParameterSets(1, 4, rng);
+    const std::string first = evaluateRequest(1, smallGraph(97), points);
+    std::string other;
+    for (std::uint64_t seed = 98; other.empty(); ++seed) {
+        std::string line = evaluateRequest(2, smallGraph(seed), points);
+        if (homeShard(line, 2) != homeShard(first, 2))
+            other = line;
+    }
+    const std::string direct = ServiceServer().handleLine(other);
+
+    // A 2-shard worker whose first request sleeps a second on its
+    // shard's executor before answering: that shard is held, the
+    // other one is free.
+    service::ServerOptions two_shards;
+    two_shards.shards = 2;
+    TestWorkerDirectory workers(1, "delay:1000@1", two_shards);
+    service::WorkerFleetService fleet(workers);
+    EXPECT_EQ(laneHealth(fleet, "forwarders"), 2.0);
+
+    std::future<std::string> held = submitTo(fleet, first);
+    for (int i = 0; i < 5000 && workers.faultPlaneRequests(0) < 1; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(workers.faultPlaneRequests(0), 1u);
+
+    // The lane's second forwarder carries the other shard's request
+    // past the held one; a single forwarder would queue it behind.
+    EXPECT_EQ(submitTo(fleet, other).get(), direct);
+    EXPECT_EQ(held.wait_for(std::chrono::milliseconds(0)),
+              std::future_status::timeout);
+    for (int i = 0; i < 500 && laneHealth(fleet, "busy") != 1.0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(laneHealth(fleet, "busy"), 1.0);
+    resultOf(held.get());
+    fleet.stop();
+
+    // A 1-shard worker keeps a single forwarder.
+    TestWorkerDirectory single(1);
+    service::WorkerFleetService one(single);
+    EXPECT_EQ(laneHealth(one, "forwarders"), 1.0);
+    one.stop();
 }
 
 TEST(ServiceFleet, DeadlinedRequestsExpireWhileWaitingOutARestart)
@@ -1975,6 +2045,8 @@ TEST(ServiceMetrics, FleetMetricsAggregateTheFleet)
         "redqaoa_lb_worker_failures_total",
         "redqaoa_lb_worker_restarts_total",
         "redqaoa_lb_worker_up",
+        "redqaoa_lb_lane_forwarders",
+        "redqaoa_lb_lane_busy",
         "redqaoa_queue_depth",
         "redqaoa_in_flight",
     };
@@ -1983,6 +2055,9 @@ TEST(ServiceMetrics, FleetMetricsAggregateTheFleet)
 
     const std::string text = fleet.metricsText();
     EXPECT_NE(text.find("redqaoa_lb_worker_up{lane=\"0\"} 1"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("redqaoa_lb_lane_forwarders{lane=\"1\"} 1"),
               std::string::npos)
         << text;
     fleet.stop();

@@ -64,8 +64,8 @@ usage(std::FILE *to)
         "  --workers N        worker process count (default 2)\n"
         "  --port N           front TCP port (default 0 = ephemeral)\n"
         "  --port-file P      write the bound front port to file P\n"
-        "  --queue N          lb queue capacity per worker lane\n"
-        "                     (default 64)\n"
+        "  --queue N          requests per worker lane waiting for a\n"
+        "                     free forwarder (default 64)\n"
         "  --max-conns N      concurrent client connection cap\n"
         "                     (default 256)\n"
         "  --idle-timeout-ms N  evict idle client connections\n"
