@@ -18,8 +18,10 @@
  * industrialized): optimize requests on FRESH graphs, structurally
  * similar to the solved pool, with `warm_start: true` (first restart
  * seeded from the nearest donor's best params) vs `false` (all
- * random). Reported, not gated: seeding helps by letting the
- * tolerance-based early-exit fire sooner, which is workload-shaped.
+ * random). Both spend the same evaluation budget (every restart runs
+ * to its 60-evaluation cap), so the comparison is the mean best energy
+ * reached at that budget. Reported, not gated: how much a donor helps
+ * is workload-shaped.
  */
 
 #include <chrono>
@@ -109,16 +111,27 @@ runTrace(const std::vector<std::string> &lines,
     return run;
 }
 
+/** A numeric member of an optimize response's result (0 if absent). */
 double
-responseEvaluations(const std::string &line)
+resultNumber(const std::string &line, const char *key)
 {
     json::Value doc = json::Value::parse(line);
     const json::Value *result = doc.find("result");
     if (result == nullptr)
         return 0.0;
-    const json::Value *evals = result->find("evaluations");
-    return evals != nullptr && evals->isNumber() ? evals->asNumber()
+    const json::Value *value = result->find(key);
+    return value != nullptr && value->isNumber() ? value->asNumber()
                                                  : 0.0;
+}
+
+/** Mean best energy over a run's optimize responses. */
+double
+meanEnergy(const TraceRun &run)
+{
+    double sum = 0.0;
+    for (const std::string &line : run.responses)
+        sum += resultNumber(line, "energy");
+    return run.responses.empty() ? 0.0 : sum / run.responses.size();
 }
 
 } // namespace
@@ -165,7 +178,7 @@ REDQAOA_REGISTER_FIGURE(warm_start, "Service",
 
     double cold_evals = 0.0;
     for (const std::string &line : cold.responses)
-        cold_evals += responseEvaluations(line);
+        cold_evals += resultNumber(line, "evaluations");
 
     const double cold_rps = lines.size() / cold.seconds;
     const double warm_rps = lines.size() / warm.seconds;
@@ -196,15 +209,11 @@ REDQAOA_REGISTER_FIGURE(warm_start, "Service",
     // Both runs reuse the warmed store (the donors), fresh servers.
     TraceRun seeded = runTrace(seeded_lines, store_dir);
     TraceRun unseeded = runTrace(unseeded_lines, store_dir);
-    double seeded_evals = 0.0;
-    double unseeded_evals = 0.0;
-    for (const std::string &line : seeded.responses)
-        seeded_evals += responseEvaluations(line);
-    for (const std::string &line : unseeded.responses)
-        unseeded_evals += responseEvaluations(line);
-    ctx.out("transfer   : %d fresh graphs, %.0f evals seeded vs %.0f"
-            " unseeded\n",
-            kFresh, seeded_evals, unseeded_evals);
+    const double seeded_energy = meanEnergy(seeded);
+    const double unseeded_energy = meanEnergy(unseeded);
+    ctx.out("transfer   : %d fresh graphs, mean energy %.8f seeded vs"
+            " %.8f unseeded at equal budget\n",
+            kFresh, seeded_energy, unseeded_energy);
 
     ctx.sink.metric("requests", static_cast<double>(lines.size()));
     ctx.sink.metric("cold_requests_per_second", cold_rps);
@@ -216,8 +225,8 @@ REDQAOA_REGISTER_FIGURE(warm_start, "Service",
     ctx.sink.metric("warm_store_hits",
                     static_cast<double>(warm.engine.store.warmHits));
     ctx.sink.metric("warm_identical", identical ? 1.0 : 0.0);
-    ctx.sink.metric("transfer_seeded_evaluations", seeded_evals);
-    ctx.sink.metric("transfer_unseeded_evaluations", unseeded_evals);
+    ctx.sink.metric("transfer_seeded_energy", seeded_energy);
+    ctx.sink.metric("transfer_unseeded_energy", unseeded_energy);
     ctx.note("a restarted server answers the whole trace from its"
              " disk store: byte-identical responses with zero fresh"
              " evaluations, and fresh similar graphs can seed their"

@@ -41,6 +41,20 @@ batchBits(const std::vector<QaoaParams> &params)
     return bits;
 }
 
+/**
+ * Lane-occupancy counters of one batched sweep (occupancy is points /
+ * (kBatchLanes * sweeps)).
+ */
+void
+countLaneSweeps(std::size_t sweeps, std::size_t points)
+{
+    obs::Profiler &profiler = obs::Profiler::global();
+    if (!profiler.enabled())
+        return;
+    profiler.count("batched.sweeps", sweeps);
+    profiler.count("batched.points", points);
+}
+
 } // namespace
 
 const std::vector<double> &
@@ -104,6 +118,39 @@ EvalEngine::objective(const Graph &g, const EvalSpec &spec)
     };
 }
 
+BatchObjective
+EvalEngine::batchObjective(const Graph &g, const EvalSpec &spec)
+{
+    EvalBackend kind = resolveBackend(spec, g);
+    if (!deterministicBackend(kind))
+        throw std::invalid_argument(
+            std::string("EvalEngine::batchObjective: backend '") +
+            backendName(kind) + "' depends on call order");
+    std::shared_ptr<CutEvaluator> ev = cachedEvaluator(g, spec, kind);
+    // The lane sweep needs the cut table only the exact evaluator has.
+    const auto *exact = dynamic_cast<const ExactEvaluator *>(ev.get());
+    return [ev, exact](std::span<const std::vector<double>> xs) {
+        std::vector<QaoaParams> params;
+        params.reserve(xs.size());
+        for (const std::vector<double> &x : xs)
+            params.push_back(QaoaParams::unflatten(x));
+        std::vector<double> values(params.size());
+        if (exact && params.size() >= kBatchedPointsThreshold) {
+            std::vector<const QaoaParams *> points(params.size());
+            for (std::size_t i = 0; i < params.size(); ++i)
+                points[i] = &params[i];
+            countLaneSweeps(exact->batchExpectationInto(points, values),
+                            points.size());
+        } else {
+            for (std::size_t i = 0; i < params.size(); ++i)
+                values[i] = ev->expectation(params[i]);
+        }
+        for (double &v : values)
+            v = -v;
+        return values;
+    };
+}
+
 EvalJobTicket
 EvalEngine::submit(const Graph &g, const EvalSpec &spec,
                    std::vector<QaoaParams> params)
@@ -154,6 +201,7 @@ EvalEngine::drain()
         std::vector<double *> slots;
         std::vector<MemoKey> keys;
         std::vector<double> values; //!< Filled by the fan-out.
+        std::size_t sweeps = 0;     //!< Lane groups the fan-out ran.
     };
     /** One job's freshly computed points, persisted after the fan-out. */
     struct StoreAppend
@@ -293,12 +341,15 @@ EvalEngine::drain()
             }
             BatchTask &task = *batchTasks[i - items.size()];
             task.values.resize(task.points.size());
-            task.eval->batchExpectationInto(task.points, task.values);
+            task.sweeps =
+                task.eval->batchExpectationInto(task.points, task.values);
             for (std::size_t k = 0; k < task.slots.size(); ++k)
                 *task.slots[k] = task.values[k];
         });
     }
 
+    for (const auto &task : batchTasks)
+        countLaneSweeps(task->sweeps, task->points.size());
     for (const auto &[dst, src] : aliases)
         *dst = *src;
     // Publish the deterministic jobs before the (potentially long)

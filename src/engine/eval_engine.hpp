@@ -191,6 +191,17 @@ class EvalEngine
      */
     Objective objective(const Graph &g, const EvalSpec &spec);
 
+    /**
+     * Batch form of objective() for the lockstep multiRestart: the same
+     * value per point, bit for bit. Deterministic backends only (throws
+     * std::invalid_argument for Trajectory, whose values depend on call
+     * order). On the statevector evaluator a batch of at least
+     * kBatchedPointsThreshold points sweeps BatchedStateSet lane
+     * groups; smaller batches and other backends go point by point on
+     * the calling thread.
+     */
+    BatchObjective batchObjective(const Graph &g, const EvalSpec &spec);
+
     /** Queue a batch-evaluation job; runs at the next drain()/get(). */
     EvalJobTicket submit(const Graph &g, const EvalSpec &spec,
                          std::vector<QaoaParams> params);
@@ -204,6 +215,8 @@ class EvalEngine
      * kBatchedPointsThreshold points on an exact-sized graph) sweep
      * their points through BatchedStateSet lane groups instead of
      * per-point tasks — byte-identical values, fewer table passes.
+     * Lane sweeps here and in batchObjective() bump the profiler
+     * counters batched.sweeps (lane groups) and batched.points.
      */
     void drain();
 

@@ -3,64 +3,116 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "common/linalg.hpp"
 
 namespace redqaoa {
 
-OptResult
-CobylaLite::minimize(const Objective &f, const std::vector<double> &x0) const
+namespace {
+
+/**
+ * One CobylaLite run. Its three point-producing loops are the phases:
+ * the initial interpolation set, a respan of the simplex around the
+ * incumbent, and the trust-region candidate step.
+ */
+class CobylaRun : public OptRun
 {
-    const std::size_t n = x0.size();
-    assert(n >= 1);
-    OptResult res;
-    res.value = std::numeric_limits<double>::infinity();
+  public:
+    CobylaRun(const OptOptions &opts, const std::vector<double> &x0)
+        : OptRun(false), opts_(opts), n_(x0.size()), rho_(opts.initialStep),
+          rhoEnd_(std::max(opts.tolerance, 1e-8)), pts_(n_ + 1, x0),
+          vals_(n_ + 1)
+    {
+        assert(n_ >= 1);
+        // Interpolation set: x0 plus axis offsets.
+        for (std::size_t i = 0; i < n_; ++i)
+            pts_[i + 1][i] += rho_;
+        next();
+    }
 
-    auto eval = [&](const std::vector<double> &x) {
-        double v = f(x);
-        ++res.evaluations;
-        if (v < res.value) {
-            res.value = v;
-            res.x = x;
+  protected:
+    void
+    advance(double v) override
+    {
+        if (phase_ == Phase::Initial) {
+            vals_[i_] = v;
+            ++i_;
+        } else if (phase_ == Phase::Respan) {
+            vals_[i_ + 1] = v;
+            ++i_;
+        } else {
+            step(v);
         }
-        res.trace.push_back(res.value);
-        res.iterates.push_back(x);
-        return v;
+        next();
+    }
+
+  private:
+    enum class Phase
+    {
+        Initial, //!< Evaluating pts_[i_], i_ = 0..n.
+        Respan,  //!< Evaluating pts_[i_ + 1], i_ = 0..n-1.
+        Model,   //!< Fitting the model (no point pending).
+        Step,    //!< Evaluating the candidate point_.
     };
 
-    double rho = opts_.initialStep;
-    const double rho_end = std::max(opts_.tolerance, 1e-8);
+    /** Rebuild the simplex around pts_[best] with the current rho. */
+    void
+    respan(std::size_t best)
+    {
+        std::vector<double> anchor = pts_[best];
+        double anchor_val = vals_[best];
+        pts_.assign(n_ + 1, anchor);
+        vals_.assign(n_ + 1, anchor_val);
+        i_ = 0;
+        phase_ = Phase::Respan;
+    }
 
-    // Interpolation set: x0 plus axis offsets.
-    std::vector<std::vector<double>> pts(n + 1, x0);
-    std::vector<double> vals(n + 1);
-    for (std::size_t i = 0; i < n; ++i)
-        pts[i + 1][i] += rho;
-    for (std::size_t i = 0; i <= n && res.evaluations < opts_.maxEvaluations;
-         ++i)
-        vals[i] = eval(pts[i]);
-
-    auto respan = [&](std::size_t best) {
-        // Rebuild the simplex around the incumbent with the current rho.
-        std::vector<double> anchor = pts[best];
-        double anchor_val = vals[best];
-        pts.assign(n + 1, anchor);
-        vals.assign(n + 1, anchor_val);
-        for (std::size_t i = 0;
-             i < n && res.evaluations < opts_.maxEvaluations; ++i) {
-            pts[i + 1][i] += rho;
-            vals[i + 1] = eval(pts[i + 1]);
+    /** Set point_ to the next point to evaluate, or finish. */
+    void
+    next()
+    {
+        const int budget = opts_.maxEvaluations;
+        for (;;) {
+            if (phase_ == Phase::Initial) {
+                if (i_ <= n_ && evaluations() < budget) {
+                    point_ = pts_[i_];
+                    return;
+                }
+                phase_ = Phase::Model;
+            }
+            if (phase_ == Phase::Respan) {
+                if (i_ < n_ && evaluations() < budget) {
+                    pts_[i_ + 1][i_] += rho_;
+                    point_ = pts_[i_ + 1];
+                    return;
+                }
+                phase_ = Phase::Model;
+            }
+            if (!(evaluations() < budget && rho_ > rhoEnd_)) {
+                finish();
+                return;
+            }
+            if (model())
+                return;
         }
-    };
+    }
 
-    while (res.evaluations < opts_.maxEvaluations && rho > rho_end) {
-        std::size_t best = 0, worst = 0;
+    /**
+     * Fit the interpolating linear model and propose the trust-region
+     * step (true, point_ pending), or halve rho and respan when the
+     * model is degenerate (false).
+     */
+    bool
+    model()
+    {
+        const std::size_t n = n_;
+        best_ = 0;
+        worst_ = 0;
         for (std::size_t i = 1; i <= n; ++i) {
-            if (vals[i] < vals[best])
-                best = i;
-            if (vals[i] > vals[worst])
-                worst = i;
+            if (vals_[i] < vals_[best_])
+                best_ = i;
+            if (vals_[i] > vals_[worst_])
+                worst_ = i;
         }
 
         // Fit the interpolating linear model around the incumbent:
@@ -69,11 +121,11 @@ CobylaLite::minimize(const Objective &f, const std::vector<double> &x0) const
         std::vector<double> dv(n, 0.0);
         std::size_t row = 0;
         for (std::size_t i = 0; i <= n; ++i) {
-            if (i == best)
+            if (i == best_)
                 continue;
             for (std::size_t d = 0; d < n; ++d)
-                m(row, d) = pts[i][d] - pts[best][d];
-            dv[row] = vals[i] - vals[best];
+                m(row, d) = pts_[i][d] - pts_[best_][d];
+            dv[row] = vals_[i] - vals_[best_];
             ++row;
         }
         std::vector<double> grad;
@@ -90,33 +142,58 @@ CobylaLite::minimize(const Objective &f, const std::vector<double> &x0) const
             gnorm = std::sqrt(gnorm);
         }
         if (degenerate || gnorm < 1e-12) {
-            rho *= 0.5;
-            respan(best);
-            continue;
+            rho_ *= 0.5;
+            respan(best_);
+            return false;
         }
 
         // Trust-region step on the linear model.
-        std::vector<double> cand = pts[best];
+        point_ = pts_[best_];
         for (std::size_t d = 0; d < n; ++d)
-            cand[d] -= rho * grad[d] / gnorm;
-        double fc = eval(cand);
+            point_[d] -= rho_ * grad[d] / gnorm;
+        phase_ = Phase::Step;
+        return true;
+    }
 
-        if (fc < vals[best]) {
+    /** Take the candidate's value @p fc into the simplex. */
+    void
+    step(double fc)
+    {
+        phase_ = Phase::Model;
+        if (fc < vals_[best_]) {
             // Model predicted well: replace the worst vertex, expand a bit.
-            pts[worst] = std::move(cand);
-            vals[worst] = fc;
-            rho = std::min(rho * 1.25, opts_.initialStep * 4.0);
-        } else if (fc < vals[worst]) {
-            pts[worst] = std::move(cand);
-            vals[worst] = fc;
+            pts_[worst_] = point_;
+            vals_[worst_] = fc;
+            rho_ = std::min(rho_ * 1.25, opts_.initialStep * 4.0);
+        } else if (fc < vals_[worst_]) {
+            pts_[worst_] = point_;
+            vals_[worst_] = fc;
         } else {
-            rho *= 0.5;
+            rho_ *= 0.5;
             // Keep the geometry fresh near the incumbent after shrinking.
-            if (rho > rho_end)
-                respan(best);
+            if (rho_ > rhoEnd_)
+                respan(best_);
         }
     }
-    return res;
+
+    const OptOptions opts_;
+    const std::size_t n_;
+    double rho_;
+    const double rhoEnd_;
+    std::vector<std::vector<double>> pts_; //!< Interpolation set.
+    std::vector<double> vals_;
+    Phase phase_ = Phase::Initial;
+    std::size_t i_ = 0;
+    std::size_t best_ = 0;
+    std::size_t worst_ = 0;
+};
+
+} // namespace
+
+std::unique_ptr<OptRun>
+CobylaLite::start(const std::vector<double> &x0) const
+{
+    return std::make_unique<CobylaRun>(opts_, x0);
 }
 
 } // namespace redqaoa

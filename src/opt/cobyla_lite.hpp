@@ -28,8 +28,8 @@ class CobylaLite : public Optimizer
      */
     explicit CobylaLite(OptOptions opts = {}) : opts_(opts) {}
 
-    OptResult minimize(const Objective &f,
-                       const std::vector<double> &x0) const override;
+    std::unique_ptr<OptRun>
+    start(const std::vector<double> &x0) const override;
 
     std::string name() const override { return "cobyla-lite"; }
 

@@ -18,8 +18,8 @@ class NelderMead : public Optimizer
   public:
     explicit NelderMead(OptOptions opts = {}) : opts_(opts) {}
 
-    OptResult minimize(const Objective &f,
-                       const std::vector<double> &x0) const override;
+    std::unique_ptr<OptRun>
+    start(const std::vector<double> &x0) const override;
 
     std::string name() const override { return "nelder-mead"; }
 

@@ -1,63 +1,117 @@
 #include "opt/spsa.hpp"
 
 #include <cmath>
-#include <limits>
 
 namespace redqaoa {
 
-OptResult
-Spsa::minimize(const Objective &f, const std::vector<double> &x0) const
-{
-    const std::size_t n = x0.size();
-    OptResult res;
-    res.value = std::numeric_limits<double>::infinity();
-    Rng rng(seed_);
+namespace {
 
-    auto eval = [&](const std::vector<double> &x) {
-        double v = f(x);
-        ++res.evaluations;
-        if (v < res.value) {
-            res.value = v;
-            res.x = x;
+// Standard gain schedules (Spall's recommended exponents).
+constexpr double kAlpha = 0.602;
+constexpr double kGammaExp = 0.101;
+constexpr double kStability = 10.0;
+
+/**
+ * One SPSA run: the start point, then per iteration the plus and minus
+ * perturbations, then the final iterate when one evaluation of the
+ * budget is left over.
+ */
+class SpsaRun : public OptRun
+{
+  public:
+    SpsaRun(const OptOptions &opts, std::uint64_t seed, double a0,
+            double c0, const std::vector<double> &x0)
+        : OptRun(false), opts_(opts), a0_(a0), c0_(c0), rng_(seed), x_(x0),
+          delta_(x0.size())
+    {
+        point_ = x_;
+    }
+
+  protected:
+    void
+    advance(double v) override
+    {
+        const std::size_t n = x_.size();
+        switch (phase_) {
+            case Phase::Plus:
+                fp_ = v;
+                point_ = xm_;
+                phase_ = Phase::Minus;
+                return;
+            case Phase::Minus: {
+                double diff = (fp_ - v) / (2.0 * ck_);
+                for (std::size_t d = 0; d < n; ++d)
+                    x_[d] -= ak_ * diff / delta_[d];
+                break;
+            }
+            case Phase::Start:
+                break;
+            case Phase::Final:
+                finish();
+                return;
         }
-        res.trace.push_back(res.value);
-        res.iterates.push_back(x);
-        return v;
+        if (evaluations() + 2 <= opts_.maxEvaluations) {
+            perturb();
+        } else if (evaluations() < opts_.maxEvaluations) {
+            point_ = x_;
+            phase_ = Phase::Final;
+        } else {
+            finish();
+        }
+    }
+
+  private:
+    enum class Phase
+    {
+        Start, //!< Evaluating x0.
+        Plus,  //!< Evaluating x + ck * delta.
+        Minus, //!< Evaluating x - ck * delta.
+        Final, //!< Evaluating the last iterate.
     };
 
-    std::vector<double> x = x0;
-    eval(x);
-
-    // Standard gain schedules (Spall's recommended exponents).
-    constexpr double kAlpha = 0.602;
-    constexpr double kGammaExp = 0.101;
-    constexpr double kStability = 10.0;
-
-    int k = 0;
-    while (res.evaluations + 2 <= opts_.maxEvaluations) {
-        ++k;
-        double ak = a0_ / std::pow(k + kStability, kAlpha);
-        double ck = c0_ / std::pow(k, kGammaExp);
+    /** Draw the next iteration's perturbation; point_ = x + ck delta. */
+    void
+    perturb()
+    {
+        const std::size_t n = x_.size();
+        ++k_;
+        ak_ = a0_ / std::pow(k_ + kStability, kAlpha);
+        ck_ = c0_ / std::pow(k_, kGammaExp);
 
         // Rademacher perturbation.
-        std::vector<double> delta(n);
         for (std::size_t d = 0; d < n; ++d)
-            delta[d] = rng.bernoulli(0.5) ? 1.0 : -1.0;
+            delta_[d] = rng_.bernoulli(0.5) ? 1.0 : -1.0;
 
-        std::vector<double> xp = x, xm = x;
+        std::vector<double> xp = x_;
+        xm_ = x_;
         for (std::size_t d = 0; d < n; ++d) {
-            xp[d] += ck * delta[d];
-            xm[d] -= ck * delta[d];
+            xp[d] += ck_ * delta_[d];
+            xm_[d] -= ck_ * delta_[d];
         }
-        double fp = eval(xp);
-        double fm = eval(xm);
-        double diff = (fp - fm) / (2.0 * ck);
-        for (std::size_t d = 0; d < n; ++d)
-            x[d] -= ak * diff / delta[d];
+        point_ = std::move(xp);
+        phase_ = Phase::Plus;
     }
-    if (res.evaluations < opts_.maxEvaluations)
-        eval(x);
-    return res;
+
+    const OptOptions opts_;
+    const double a0_;
+    const double c0_;
+    Rng rng_;
+    std::vector<double> x_; //!< The current iterate.
+    std::vector<double> delta_;
+    std::vector<double> xm_;
+    Phase phase_ = Phase::Start;
+    int k_ = 0;
+    double ak_ = 0.0;
+    double ck_ = 0.0;
+    double fp_ = 0.0; //!< Value at x + ck * delta.
+};
+
+} // namespace
+
+std::unique_ptr<OptRun>
+Spsa::start(const std::vector<double> &x0) const
+{
+    return std::make_unique<SpsaRun>(opts_, seed_, a0_, c0_, x0);
 }
 
 } // namespace redqaoa

@@ -22,8 +22,8 @@ class Spsa : public Optimizer
         : opts_(opts), seed_(seed), a0_(a0), c0_(c0)
     {}
 
-    OptResult minimize(const Objective &f,
-                       const std::vector<double> &x0) const override;
+    std::unique_ptr<OptRun>
+    start(const std::vector<double> &x0) const override;
 
     std::string name() const override { return "spsa"; }
 

@@ -337,7 +337,7 @@ runLaneGroup(std::span<const std::int32_t> codes, int max_code,
 
 } // namespace
 
-void
+std::size_t
 batchedCutExpectations(std::span<const std::int32_t> codes, int max_code,
                        int num_qubits,
                        std::span<const QaoaParams *const> points,
@@ -345,7 +345,7 @@ batchedCutExpectations(std::span<const std::int32_t> codes, int max_code,
 {
     assert(out.size() == points.size());
     if (points.empty())
-        return;
+        return 0;
 
     // Lanes of one sweep must share the layer count (every lane takes
     // the same number of phase + mixer passes). Bucket points by depth
@@ -388,11 +388,12 @@ batchedCutExpectations(std::span<const std::int32_t> codes, int max_code,
 
     if (groups.size() == 1) {
         runLaneGroup(codes, max_code, num_qubits, groups[0], out);
-        return;
+        return 1;
     }
     parallelFor(groups.size(), [&](std::size_t gi) {
         runLaneGroup(codes, max_code, num_qubits, groups[gi], out);
     });
+    return groups.size();
 }
 
 } // namespace redqaoa

@@ -123,12 +123,13 @@ void buildPhaseTablesSoA(int max_code, std::span<const double> angles,
  * drain fan-out) execute inline on the calling worker.
  *
  * @p codes / @p max_code are the graph's CutTable fields; @p out has
- * points.size() entries.
+ * points.size() entries. Returns the number of lane groups swept (the
+ * occupancy denominator: points / (kBatchLanes * groups)).
  */
-void batchedCutExpectations(std::span<const std::int32_t> codes,
-                            int max_code, int num_qubits,
-                            std::span<const QaoaParams *const> points,
-                            std::span<double> out);
+std::size_t batchedCutExpectations(std::span<const std::int32_t> codes,
+                                   int max_code, int num_qubits,
+                                   std::span<const QaoaParams *const> points,
+                                   std::span<double> out);
 
 } // namespace redqaoa
 

@@ -34,13 +34,13 @@ ExactEvaluator::batchExpectation(std::span<const QaoaParams> params)
     return out;
 }
 
-void
+std::size_t
 ExactEvaluator::batchExpectationInto(
     std::span<const QaoaParams *const> points, std::span<double> out) const
 {
     const CutTable &table = *sim_.sharedTable();
-    batchedCutExpectations(table.codes, table.maxCode, sim_.numQubits(),
-                           points, out);
+    return batchedCutExpectations(table.codes, table.maxCode,
+                                  sim_.numQubits(), points, out);
 }
 
 std::unique_ptr<CutEvaluator>

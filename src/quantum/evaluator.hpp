@@ -91,9 +91,11 @@ class ExactEvaluator : public CutEvaluator
      * drain holds points scattered across job states). Always takes
      * the batched path regardless of count; @p out has points.size()
      * slots. Values are byte-identical to expectation() per point.
+     * Returns the number of lane groups swept.
      */
-    void batchExpectationInto(std::span<const QaoaParams *const> points,
-                              std::span<double> out) const;
+    std::size_t
+    batchExpectationInto(std::span<const QaoaParams *const> points,
+                         std::span<double> out) const;
 
     /** The underlying simulator (artifact-cache identity checks). */
     const QaoaSimulator &simulator() const { return sim_; }

@@ -361,29 +361,44 @@ ServiceRouter::handleOptimize(const json::Value &params)
                  store->findDonor(storeKey, specKey, layers, g, donor);
     }
 
-    Objective raw = engine_->objective(g, spec);
-    // Every objective call is one backend evaluation; the stage timer
-    // folds them into a single backend.evaluate span whose `count` is
-    // the evaluation total. Untraced/unprofiled cost per call is two
-    // relaxed loads.
+    // A deterministic objective is a pure function of the point, so the
+    // restarts run in lockstep: each round hands every unfinished
+    // restart's next point to one call, which sweeps the batched lanes
+    // at >= 8 restarts. Trajectory objectives draw noise in call order
+    // and keep the restart-by-restart order. Either way the stage timer
+    // folds the backend calls into one backend.evaluate span whose
+    // `count` is the call total (one per lockstep round). Untraced/
+    // unprofiled cost per call is two relaxed loads.
+    const bool lockstep = deterministicBackend(kind);
+    BatchObjective rawBatch;
+    Objective raw;
+    if (lockstep)
+        rawBatch = engine_->batchObjective(g, spec);
+    else
+        raw = engine_->objective(g, spec);
+    BatchObjective batchObj =
+        [&rawBatch](std::span<const std::vector<double>> xs) {
+            obs::StageTimer evaluate("backend.evaluate", "worker.execute");
+            return rawBatch(xs);
+        };
     Objective obj = [&raw](const std::vector<double> &x) {
         obs::StageTimer evaluate("backend.evaluate", "worker.execute");
         return raw(x);
     };
     CobylaLite optimizer(opt_opts);
     int calls = 0;
+    auto sampler = [layers, seeded, &donor, &calls](Rng &r) {
+        if (seeded && calls++ == 0)
+            return donor.x;
+        return QaoaParams::random(layers, r).flatten();
+    };
     std::vector<OptResult> runs;
     {
         obs::StageTimer restartsStage("optimize.restarts",
                                       "worker.execute");
-        runs = multiRestart(
-            optimizer, obj, restarts,
-            [layers, seeded, &donor, &calls](Rng &r) {
-                if (seeded && calls++ == 0)
-                    return donor.x;
-                return QaoaParams::random(layers, r).flatten();
-            },
-            rng);
+        runs = lockstep
+                   ? multiRestart(optimizer, batchObj, restarts, sampler, rng)
+                   : multiRestart(optimizer, obj, restarts, sampler, rng);
     }
     std::size_t best = bestRun(runs);
 

@@ -26,6 +26,7 @@
 #include "engine/fleet.hpp"
 #include "graph/generators.hpp"
 #include "landscape/landscape.hpp"
+#include "obs/profiler.hpp"
 
 namespace redqaoa {
 namespace {
@@ -181,6 +182,59 @@ TEST(EvalEngine, BatchedJobsBitIdenticalToDirectEvaluator)
     }
     for (std::size_t r = 1; r < runs.size(); ++r)
         EXPECT_EQ(runs[0], runs[r]) << "run " << r;
+}
+
+/** A profiler counter's value (0 when it never fired). */
+std::uint64_t
+profilerCount(const std::string &name)
+{
+    for (const auto &[counter, value] :
+         obs::Profiler::global().counterSnapshot())
+        if (counter == name)
+            return value;
+    return 0;
+}
+
+TEST(EvalEngine, LaneSweepsFeedTheOccupancyCounters)
+{
+    obs::Profiler::global().reset();
+    Graph g = smallGraph();
+    Rng prng(89);
+    EvalEngine engine;
+    engine.evaluate(g, EvalSpec::ideal(2), randomParameterSets(2, 16, prng));
+    EXPECT_EQ(profilerCount("batched.sweeps"), 2u);
+    EXPECT_EQ(profilerCount("batched.points"), 16u);
+    obs::Profiler::global().reset();
+}
+
+TEST(EvalEngine, BatchObjectiveMatchesObjective)
+{
+    // 3 points go point by point, 8 fill one lane group, 11 add a
+    // padded one; the analytic backend is always point by point.
+    Graph small = smallGraph();
+    Graph large = largeGraph();
+    Rng prng(90);
+    EvalEngine engine;
+    for (const auto &[g, spec] :
+         {std::pair{small, EvalSpec::ideal(2)},
+          std::pair{large, EvalSpec::ideal(1)}}) {
+        Objective point = engine.objective(g, spec);
+        BatchObjective batch = engine.batchObjective(g, spec);
+        for (int count : {3, 8, 11}) {
+            std::vector<std::vector<double>> xs;
+            for (const QaoaParams &p :
+                 randomParameterSets(spec.layers, count, prng))
+                xs.push_back(p.flatten());
+            std::vector<double> got = batch(xs);
+            ASSERT_EQ(got.size(), xs.size());
+            for (std::size_t i = 0; i < xs.size(); ++i)
+                EXPECT_EQ(got[i], point(xs[i]))
+                    << g.numNodes() << " nodes, " << count << " points";
+        }
+    }
+    EXPECT_THROW(engine.batchObjective(
+                     small, EvalSpec::noisy(noise::ibmKolkata(), 1, 2)),
+                 std::invalid_argument);
 }
 
 TEST(EvalEngine, BitIdenticalToDirectAtOneThread)

@@ -51,6 +51,7 @@
 #include "engine/fleet.hpp"
 #include "graph/generators.hpp"
 #include "landscape/landscape.hpp"
+#include "obs/profiler.hpp"
 #include "opt/cobyla_lite.hpp"
 #include "service/client.hpp"
 #include "service/fault_injection.hpp"
@@ -394,6 +395,112 @@ TEST(ServiceRoundTrip, OptimizeMatchesDirectMultiRestart)
     const json::Value &gamma = *result.find("params")->find("gamma");
     EXPECT_EQ(gamma.asArray()[0].asNumber(),
               QaoaParams::unflatten(runs[best].x).gamma[0]);
+}
+
+/** An optimize request line with the default 60-evaluation budget. */
+std::string
+optimizeLine(const Graph &g, int restarts, std::uint64_t seed,
+             json::Value spec)
+{
+    json::Value doc = json::Value::object();
+    doc["id"] = 1;
+    doc["method"] = "optimize";
+    json::Value params = json::Value::object();
+    params["graph"] = service::graphToJson(g);
+    params["spec"] = std::move(spec);
+    params["restarts"] = restarts;
+    params["seed"] = static_cast<double>(seed);
+    doc["params"] = std::move(params);
+    return doc.dump();
+}
+
+json::Value
+layersSpec(int layers)
+{
+    json::Value spec = json::Value::object();
+    spec["layers"] = layers;
+    return spec;
+}
+
+/**
+ * The optimize handler's search run directly: the point overload of
+ * multiRestart, restart after restart, over engine.objective().
+ */
+std::vector<OptResult>
+sequentialSearch(const Graph &g, const EvalSpec &spec, int restarts,
+                 std::uint64_t seed)
+{
+    EvalEngine engine;
+    OptOptions opts;
+    opts.maxEvaluations = 60;
+    Rng rng(seed);
+    const int layers = spec.layers;
+    return multiRestart(
+        CobylaLite(opts), engine.objective(g, spec), restarts,
+        [layers](Rng &r) { return QaoaParams::random(layers, r).flatten(); },
+        rng);
+}
+
+/** Energy, params and evaluations of @p result against @p runs. */
+void
+expectMatchesRuns(const json::Value &result,
+                  const std::vector<OptResult> &runs)
+{
+    const OptResult &best = runs[bestRun(runs)];
+    int evaluations = 0;
+    for (const OptResult &run : runs)
+        evaluations += run.evaluations;
+    EXPECT_EQ(result.find("energy")->asNumber(), -best.value);
+    EXPECT_EQ(result.find("params")->dump(),
+              service::qaoaParamsToJson(QaoaParams::unflatten(best.x))
+                  .dump());
+    EXPECT_EQ(result.find("evaluations")->asNumber(), evaluations);
+}
+
+TEST(ServiceRoundTrip, LockstepOptimizeMatchesSequentialMultiRestart)
+{
+    // 8 restarts fill one lane group per round; 11 add a padded one.
+    Rng rng(10);
+    Graph g = gen::connectedGnp(10, 0.4, rng);
+    ServiceServer server;
+    for (int restarts : {8, 11}) {
+        json::Value result = resultOf(
+            server.handleLine(optimizeLine(g, restarts, 5, layersSpec(2))));
+        expectMatchesRuns(result, sequentialSearch(g, EvalSpec::ideal(2),
+                                                   restarts, 5));
+    }
+}
+
+TEST(ServiceRoundTrip, NoisyOptimizeKeepsSequentialCallOrder)
+{
+    // Trajectory objectives draw noise streams in call order, so only
+    // the restart-by-restart order reproduces the direct run.
+    Graph g = smallGraph(41);
+    json::Value spec = layersSpec(1);
+    spec["noise"] = "ibmq_kolkata";
+    spec["trajectories"] = 3;
+    spec["seed"] = 8;
+    ServiceServer server;
+    json::Value result =
+        resultOf(server.handleLine(optimizeLine(g, 3, 6, spec)));
+    EXPECT_EQ(result.find("backend")->asString(), "trajectory");
+    expectMatchesRuns(
+        result, sequentialSearch(g, service::specFromJson(&spec), 3, 6));
+}
+
+TEST(ServiceRoundTrip, OptimizeResponseLineIsPinned)
+{
+    Rng rng(12);
+    Graph g = gen::connectedGnp(12, 0.4, rng);
+    const std::string line =
+        ServiceServer().handleLine(optimizeLine(g, 8, 3, layersSpec(2)));
+    EXPECT_EQ(line,
+              R"({"schema_version":1,"id":1,"ok":true,"result":{)"
+              R"("backend":"statevector","params":{)"
+              R"("gamma":[0.42402174946752763,1.4993760156769196],)"
+              R"("beta":[3.4420115816370882,1.63596450654101]},)"
+              R"("energy":18.3433439230048,"evaluations":480,)"
+              R"("restarts":8}})");
 }
 
 TEST(ServiceRoundTrip, PipelineMatchesDirectPipeline)
@@ -2013,6 +2120,39 @@ TEST(ServiceMetrics, WorkerMetricsAndHealthShareOneSerialization)
     EXPECT_NE(text.find("# TYPE redqaoa_request_latency_seconds"
                         " histogram"),
               std::string::npos);
+}
+
+/** The redqaoa_profiler_events_total sample of @p event (-1 if none). */
+double
+eventSample(const json::Value &metrics, const std::string &event)
+{
+    for (const json::Value &family : metrics.find("families")->asArray()) {
+        if (family.find("name")->asString() !=
+            "redqaoa_profiler_events_total")
+            continue;
+        for (const json::Value &sample : family.find("samples")->asArray())
+            if (sample.find("labels")->find("event")->asString() == event)
+                return sample.find("value")->asNumber();
+    }
+    return -1.0;
+}
+
+TEST(ServiceMetrics, LockstepOptimizeReportsLaneOccupancy)
+{
+    // 8 restarts that each spend the 60-evaluation budget: 60 rounds,
+    // each one full lane group.
+    obs::Profiler::global().reset();
+    Rng rng(10);
+    Graph g = gen::connectedGnp(10, 0.4, rng);
+    ServiceServer server;
+    json::Value result =
+        resultOf(server.handleLine(optimizeLine(g, 8, 7, layersSpec(2))));
+    EXPECT_EQ(result.find("evaluations")->asNumber(), 480.0);
+    json::Value metrics = resultOf(
+        server.handleLine(R"({"id": 2, "method": "metrics"})"));
+    EXPECT_EQ(eventSample(metrics, "batched.sweeps"), 60.0);
+    EXPECT_EQ(eventSample(metrics, "batched.points"), 480.0);
+    obs::Profiler::global().reset();
 }
 
 TEST(ServiceMetrics, FleetMetricsAggregateTheFleet)
