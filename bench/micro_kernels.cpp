@@ -2,14 +2,19 @@
  * @file
  * Statevector kernel micro figure: throughput of the three layers every
  * simulation is built from — the phase-table cost layer, the fused RX
- * mixer layer, and the cut-table expectation reduction — at n = 12, 16,
- * 20 qubits. Registered in the unified suite so `redqaoa_bench --json`
+ * mixer layer, and the cut-table expectation reduction — plus the two
+ * noisy-trajectory kernels (the fused <Z>/<ZZ> readout and an 8-term
+ * RZZ batch tile) at n = 12, 16, 20 qubits. `z_zz_identical` reads 1
+ * only if the fused readout equals the per-output zExpectation /
+ * zzExpectation values bit for bit at n = 12 and 16. Registered in the
+ * unified suite so `redqaoa_bench --json`
  * tracks kernel regressions over time (CI compares the `_seconds`
  * metrics against the checked-in BENCH_baseline.json); the same kernels
  * are mirrored in the google-benchmark bench_micro_simulators target
  * for interactive tuning.
  */
 
+#include <bit>
 #include <chrono>
 
 #include "bench/bench_common.hpp"
@@ -47,10 +52,12 @@ secondsPerRep(F &&fn, int reps)
 
 REDQAOA_REGISTER_FIGURE(micro_kernels, "Micro",
                         "statevector kernel throughput: phase table,"
-                        " fused mixer, expectation")
+                        " fused mixer, expectation, <Z>/<ZZ> readout,"
+                        " RZZ batch")
 {
     ctx.out("%-8s %-14s %-16s %-16s\n", "qubits", "kernel",
             "seconds/layer", "amps/s");
+    bool z_zz_identical = true;
     for (int n : {12, 16, 20}) {
         const int reps = ctx.scale(n >= 20 ? 2 : 100, n >= 20 ? 10 : 200);
         Rng rng(static_cast<std::uint64_t>(n) * 13 + 1);
@@ -71,17 +78,59 @@ REDQAOA_REGISTER_FIGURE(micro_kernels, "Micro",
             [&] { sink = sink + psi.expectationFromCodes(table.codes); },
             reps);
 
+
+        // Trajectory kernels: the readout of every <Z> plus ~1.5n <ZZ>
+        // pairs, and one 8-term RZZ tile. They cost several layers'
+        // worth each, so they take fewer repetitions.
+        const int traj_reps = ctx.scale(n >= 20 ? 1 : (n >= 16 ? 4 : 20),
+                                        n >= 20 ? 4 : (n >= 16 ? 40 : 200));
+        std::vector<std::pair<int, int>> pairs;
+        std::vector<RzzTerm> tile;
+        for (const Edge &e : g.edges()) {
+            if (pairs.size() < static_cast<std::size_t>(3 * n / 2))
+                pairs.emplace_back(e.u, e.v);
+            if (tile.size() < 8)
+                tile.push_back(makeRzzTerm(e.u, e.v, 0.3));
+        }
+        std::vector<double> z(static_cast<std::size_t>(n));
+        std::vector<double> zz(pairs.size());
+        double t_zzz = secondsPerRep(
+            [&] { psi.zAndZzExpectations(pairs, z, zz); }, traj_reps);
+        double t_rzz =
+            secondsPerRep([&] { psi.applyRzzBatch(tile); }, traj_reps);
+        if (n <= 16) {
+            psi.zAndZzExpectations(pairs, z, zz);
+            auto same = [](double a, double b) {
+                return std::bit_cast<std::uint64_t>(a) ==
+                       std::bit_cast<std::uint64_t>(b);
+            };
+            for (int q = 0; q < n; ++q)
+                z_zz_identical &= same(z[static_cast<std::size_t>(q)],
+                                       psi.zExpectation(q));
+            for (std::size_t k = 0; k < pairs.size(); ++k) {
+                const auto [a, b] = pairs[k];
+                z_zz_identical &= same(zz[k], psi.zzExpectation(a, b));
+            }
+        }
+
         const char *fmt = "%-8d %-14s %-16.3e %-16.3e\n";
         ctx.out(fmt, n, "phase_table", t_phase, amps / t_phase);
         ctx.out(fmt, n, "mixer_fused", t_mixer, amps / t_mixer);
         ctx.out(fmt, n, "expectation", t_expect, amps / t_expect);
+        ctx.out(fmt, n, "z_zz", t_zzz, amps / t_zzz);
+        ctx.out(fmt, n, "rzz_batch", t_rzz, amps / t_rzz);
 
         const std::string suffix = "_n" + std::to_string(n) + "_seconds";
         ctx.sink.metric("phase_table" + suffix, t_phase);
         ctx.sink.metric("mixer_fused" + suffix, t_mixer);
         ctx.sink.metric("expectation" + suffix, t_expect);
+        ctx.sink.metric("z_zz" + suffix, t_zzz);
+        ctx.sink.metric("rzz_batch" + suffix, t_rzz);
     }
+    ctx.sink.metric("z_zz_identical", z_zz_identical ? 1.0 : 0.0);
     ctx.note("phase-table cost layers replace 2^n cos/sin pairs with an"
              " m+1-entry lookup; the fused mixer walks the state once"
-             " per cache block instead of once per qubit.");
+             " per cache block instead of once per qubit; the <Z>/<ZZ>"
+             " readout reads the state once for every output, with"
+             " branch-free signs.");
 }

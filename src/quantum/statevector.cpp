@@ -11,8 +11,6 @@ namespace redqaoa {
 
 namespace {
 
-constexpr Complex kI{0.0, 1.0};
-
 /**
  * Kernels go parallel above this many amplitudes (16k amps = 256 KiB,
  * enough work to amortize the fork-join). Below it, or on a 1-thread
@@ -130,6 +128,83 @@ gateButterfly(Complex &a0, Complex &a1, const Gate1Q &u)
     a1 = u[2] * b0 + u[3] * b1;
 }
 
+/**
+ * x * y as (ac - bd, ad + bc): for finite operands exactly what the
+ * inline std::complex product rounds to, and what the batched lane
+ * kernels compute, but without the NaN-recovery call (__muldc3) that
+ * keeps a loop around the inline product scalar. Every per-amplitude
+ * product of the diagonal passes goes through here.
+ */
+inline Complex
+mulFinite(Complex x, Complex y)
+{
+    const double a = x.real(), b = x.imag();
+    const double c = y.real(), d = y.imag();
+    return Complex{a * c - b * d, a * d + b * c};
+}
+
+/**
+ * Parity patterns of up to 8 outputs over the basis index: bit k of
+ * at(i) is the parity of i & mask_k, and column[q] holds the outputs
+ * whose mask has bit q. The pattern is linear in i over GF(2): going
+ * from i to i + 1 flips the low r + 1 bits, r = ctz(i + 1), so the
+ * pattern steps by delta[r], the XOR of columns 0..r.
+ */
+struct ParitySteps
+{
+    std::uint8_t column[32] = {};
+    std::uint8_t delta[32] = {};
+
+    /** Toggle qubit @p q in output @p k's mask (twice cancels). */
+    void toggle(int q, std::size_t k)
+    {
+        column[q] ^= static_cast<std::uint8_t>(1u << k);
+    }
+
+    /** Fill delta from the columns; call after the last toggle. */
+    void finish()
+    {
+        std::uint8_t run = 0;
+        for (int r = 0; r < 32; ++r) {
+            run ^= column[r];
+            delta[r] = run;
+        }
+    }
+
+    std::uint8_t at(std::size_t i) const
+    {
+        std::uint8_t pattern = 0;
+        for (int q = 0; i != 0; ++q, i >>= 1)
+            if (i & 1u)
+                pattern ^= column[q];
+        return pattern;
+    }
+};
+
+/** Outputs per register block of the fused <Z>/<ZZ> readout. */
+constexpr std::size_t kReadoutBlock = 8;
+
+/** |amp|^2 values staged per tile of the fused readout (8 KiB). */
+constexpr std::size_t kReadoutTile = 1024;
+
+/** Row p, lane k: the sign bit iff bit k of p is set (-x = x ^ row). */
+struct SignRows
+{
+    alignas(64) std::uint64_t row[256][kReadoutBlock];
+};
+
+constexpr SignRows
+makeSignRows()
+{
+    SignRows t{};
+    for (std::size_t p = 0; p < 256; ++p)
+        for (std::size_t k = 0; k < kReadoutBlock; ++k)
+            t.row[p][k] = ((p >> k) & 1u) ? std::uint64_t{1} << 63 : 0;
+    return t;
+}
+
+constexpr SignRows kSignRows = makeSignRows();
+
 } // namespace
 
 Statevector::Statevector(int num_qubits)
@@ -203,7 +278,25 @@ Statevector::applyX(int q)
 void
 Statevector::applyY(int q)
 {
-    apply1Q(q, Gate1Q{Complex{0, 0}, -kI, kI, Complex{0, 0}});
+    // Y = [[0, -i], [i, 0]]: a swap with sign flips. The 0 * v terms are
+    // the zero products the generic 2x2 path adds (with -i = (-0, -1)),
+    // kept so that zero components keep the signs apply1Q gave them;
+    // they never change a nonzero value.
+    const std::size_t step = static_cast<std::size_t>(1) << q;
+    const std::size_t n = amps_.size();
+    Complex *amps = amps_.data();
+    for (std::size_t base = 0; base < n; base += 2 * step) {
+        for (std::size_t i = base; i < base + step; ++i) {
+            const double x = amps[i].real(), y = amps[i].imag();
+            const double c = amps[i + step].real();
+            const double d = amps[i + step].imag();
+            const double zx = 0.0 * x, zy = 0.0 * y;
+            const double zc = 0.0 * c, zd = 0.0 * d;
+            amps[i] = Complex{(zx - zy) + (d - zc), (zy + zx) + (-zd - c)};
+            amps[i + step] =
+                Complex{(zx - y) + (zc - zd), (zy + x) + (zd + zc)};
+        }
+    }
 }
 
 void
@@ -247,7 +340,7 @@ Statevector::applyRz(int q, double theta)
     Complex *amps = amps_.data();
     forAmpChunks(n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
-            amps[i] *= mul[(i >> q) & 1u];
+            amps[i] = mulFinite(amps[i], mul[(i >> q) & 1u]);
     });
 }
 
@@ -289,44 +382,28 @@ Statevector::applyRzzBatch(std::span<const RzzTerm> terms)
         Complex table[std::size_t{1} << 8];
         table[0] = Complex{1.0, 0.0};
         std::size_t filled = 1;
+        ParitySteps steps;
         for (std::size_t j = 0; j < k; ++j) {
             const RzzTerm &t = terms[offset + j];
             for (std::size_t idx = 0; idx < filled; ++idx) {
-                table[idx | filled] = table[idx] * t.odd;
-                table[idx] = table[idx] * t.even;
+                table[idx | filled] = mulFinite(table[idx], t.odd);
+                table[idx] = mulFinite(table[idx], t.even);
             }
             filled <<= 1;
+            // Term j's parity is that of i & (bit a ^ bit b): a self
+            // pair toggles nothing, as Z_a Z_a = I.
+            steps.toggle(t.a, j);
+            steps.toggle(t.b, j);
         }
-        // Gray-delta index update: as i increments, the bits that flip
-        // are a low run, and only numQubits_ distinct runs exist.
-        // delta[r] holds which term parities toggle when the low r+1
-        // bits flip, so the per-amplitude cost is one ctz + xor +
-        // lookup + multiply — independent of the tile width.
-        std::uint64_t masks[8];
-        for (std::size_t j = 0; j < k; ++j)
-            masks[j] = (std::uint64_t{1} << terms[offset + j].a) |
-                       (std::uint64_t{1} << terms[offset + j].b);
-        std::uint32_t delta[31] = {};
-        for (int r = 0; r < numQubits_; ++r) {
-            const std::uint64_t flipped =
-                (std::uint64_t{1} << (r + 1)) - 1;
-            std::uint32_t d = 0;
-            for (std::size_t j = 0; j < k; ++j)
-                if (std::popcount(masks[j] & flipped) & 1)
-                    d |= std::uint32_t{1} << j;
-            delta[r] = d;
-        }
+        steps.finish();
+        // The table row steps with i (ParitySteps), so the per-amplitude
+        // cost is one ctz + xor + lookup + multiply, independent of the
+        // tile width.
         forAmpChunks(n, [&](std::size_t begin, std::size_t end) {
-            std::uint32_t idx = 0;
-            for (std::size_t j = 0; j < k; ++j)
-                idx |= static_cast<std::uint32_t>(
-                           std::popcount(begin & masks[j]) & 1)
-                       << j;
+            std::uint8_t idx = steps.at(begin);
             for (std::size_t i = begin; i < end; ++i) {
-                amps[i] *= table[idx];
-                const std::size_t next = i + 1;
-                if (next < end)
-                    idx ^= delta[std::countr_zero(next)];
+                amps[i] = mulFinite(amps[i], table[idx]);
+                idx ^= steps.delta[std::countr_zero(i + 1)];
             }
         });
     }
@@ -341,7 +418,7 @@ Statevector::applyRzz0(const RzzTerm &t)
     const int a = t.a, b = t.b;
     forAmpChunks(n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
-            amps[i] *= mul[((i >> a) ^ (i >> b)) & 1u];
+            amps[i] = mulFinite(amps[i], mul[((i >> a) ^ (i >> b)) & 1u]);
     });
 }
 
@@ -353,7 +430,8 @@ Statevector::applyDiagonalPhase(const std::vector<double> &diag, double angle)
     forAmpChunks(amps_.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
             double phi = -angle * diag[i];
-            amps[i] *= Complex{std::cos(phi), std::sin(phi)};
+            amps[i] = mulFinite(amps[i],
+                                Complex{std::cos(phi), std::sin(phi)});
         }
     });
 }
@@ -366,7 +444,8 @@ Statevector::applyPhaseTable(std::span<const std::int32_t> codes,
     Complex *amps = amps_.data();
     forAmpChunks(amps_.size(), [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
-            amps[i] *= phases[static_cast<std::size_t>(codes[i])];
+            amps[i] = mulFinite(amps[i],
+                                phases[static_cast<std::size_t>(codes[i])]);
     });
 }
 
@@ -476,42 +555,72 @@ Statevector::zAndZzExpectations(std::span<const std::pair<int, int>> pairs,
     if (outs == 0)
         return;
 
-    const std::pair<int, int> *pair_data = pairs.data();
+    // Output o lives in lane o % 8 of register block o / 8; the sign of
+    // its term at index i is the parity of i & mask_o (one bit for <Z>,
+    // two for <ZZ>), so each block's sign pattern steps with i.
+    const std::size_t blocks = (outs + kReadoutBlock - 1) / kReadoutBlock;
+    const std::size_t width = blocks * kReadoutBlock;
+    thread_local std::vector<ParitySteps> steps_scratch;
+    steps_scratch.assign(blocks, ParitySteps{});
+    ParitySteps *steps = steps_scratch.data();
+    for (std::size_t q = 0; q < nz; ++q)
+        steps[q / kReadoutBlock].toggle(static_cast<int>(q),
+                                        q % kReadoutBlock);
+    for (std::size_t k = 0; k < ne; ++k) {
+        const std::size_t o = nz + k;
+        steps[o / kReadoutBlock].toggle(pairs[k].first, o % kReadoutBlock);
+        steps[o / kReadoutBlock].toggle(pairs[k].second, o % kReadoutBlock);
+    }
+    for (std::size_t b = 0; b < blocks; ++b)
+        steps[b].finish();
+
+    // Each accumulator adds its +-|amp|^2 terms in index order, exactly
+    // as a per-output loop would: the sign is applied by XOR-ing the
+    // sign bit from the pattern's row, with no branch per term.
     const Complex *amps = amps_.data();
-    auto accumulate = [amps, nz, ne, pair_data](std::size_t begin,
-                                                std::size_t end,
-                                                double *acc) {
-        for (std::size_t i = begin; i < end; ++i) {
-            const double pr = std::norm(amps[i]);
-            for (std::size_t q = 0; q < nz; ++q)
-                acc[q] += ((i >> q) & 1u) ? -pr : pr;
-            for (std::size_t k = 0; k < ne; ++k)
-                acc[nz + k] += (((i >> pair_data[k].first) ^
-                                 (i >> pair_data[k].second)) &
-                                1u)
-                                   ? -pr
-                                   : pr;
+    auto accumulate = [amps, blocks, steps](std::size_t begin,
+                                            std::size_t end, double *acc) {
+        double pr[kReadoutTile];
+        for (std::size_t tile = begin; tile < end; tile += kReadoutTile) {
+            const std::size_t len = std::min(end - tile, kReadoutTile);
+            for (std::size_t j = 0; j < len; ++j)
+                pr[j] = std::norm(amps[tile + j]);
+            for (std::size_t b = 0; b < blocks; ++b) {
+                const ParitySteps &ps = steps[b];
+                double *block_acc = acc + b * kReadoutBlock;
+                double sum[kReadoutBlock];
+                std::copy_n(block_acc, kReadoutBlock, sum);
+                std::uint8_t pattern = ps.at(tile);
+                for (std::size_t j = 0; j < len; ++j) {
+                    const auto bits = std::bit_cast<std::uint64_t>(pr[j]);
+                    const std::uint64_t *sign = kSignRows.row[pattern];
+                    for (std::size_t k = 0; k < kReadoutBlock; ++k)
+                        sum[k] += std::bit_cast<double>(bits ^ sign[k]);
+                    pattern ^= ps.delta[std::countr_zero(tile + j + 1)];
+                }
+                std::copy_n(sum, kReadoutBlock, block_acc);
+            }
         }
     };
 
     thread_local std::vector<double> acc;
     if (!intraStateParallel(dim)) {
-        acc.assign(outs, 0.0);
+        acc.assign(width, 0.0);
         accumulate(0, dim, acc.data());
     } else {
         const std::size_t chunks = (dim + kChunkLen - 1) / kChunkLen;
         thread_local std::vector<double> partial_scratch;
-        partial_scratch.assign(chunks * outs, 0.0);
+        partial_scratch.assign(chunks * width, 0.0);
         double *partials = partial_scratch.data();
         parallelFor(chunks, [&, partials](std::size_t c) {
             const std::size_t begin = c * kChunkLen;
             accumulate(begin, std::min(dim, begin + kChunkLen),
-                       partials + c * outs);
+                       partials + c * width);
         });
-        acc.assign(outs, 0.0);
+        acc.assign(width, 0.0);
         for (std::size_t c = 0; c < chunks; ++c)
             for (std::size_t j = 0; j < outs; ++j)
-                acc[j] += partials[c * outs + j];
+                acc[j] += partials[c * width + j];
     }
     for (std::size_t q = 0; q < nz; ++q)
         z_out[q] = acc[q];

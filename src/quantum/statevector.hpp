@@ -116,7 +116,8 @@ class Statevector
      * tiled into groups whose 2^k-entry phase-product tables are
      * applied with one parity-indexed multiply per amplitude, instead
      * of one full pass per term. Equal to applying each term in order
-     * (up to phase-product rounding). The noisy cost layer batches
+     * (up to phase-product rounding; a term with a == b is the even
+     * phase everywhere, as in applyRzz). The noisy cost layer batches
      * every RZZ between stochastic Pauli insertions through this.
      */
     void applyRzzBatch(std::span<const RzzTerm> terms);
@@ -160,13 +161,18 @@ class Statevector
     double zExpectation(int q) const;
 
     /**
-     * Fused single-pass <Z_q> for every qubit and <Z_a Z_b> for every
-     * pair in @p pairs: |amp|^2 is computed once per amplitude and
-     * every accumulator updated from it. z_out must have numQubits()
-     * slots (or be empty to skip the <Z> sums); zz_out must have
-     * pairs.size() slots. Each output matches the corresponding
-     * zExpectation / zzExpectation call bit-for-bit on a 1-thread
-     * pool.
+     * Fused <Z_q> for every qubit and <Z_a Z_b> for every pair in
+     * @p pairs: |amp|^2 is computed once per amplitude and added, with
+     * its sign, to every output. z_out must have numQubits() slots (or
+     * be empty to skip the <Z> sums); zz_out must have pairs.size()
+     * slots. The outputs sit in register blocks of 8. The signs of a
+     * block at index i form an 8-bit parity pattern that is linear in
+     * i over GF(2), so it steps by a precomputed delta[ctz(i + 1)], and
+     * a 256-row table turns it into sign-bit XORs: no branch per term.
+     * Each output still adds its terms in index order (per fixed chunk
+     * on the parallel path), so it matches the corresponding
+     * zExpectation / zzExpectation call bit for bit at every thread
+     * count.
      */
     void zAndZzExpectations(std::span<const std::pair<int, int>> pairs,
                             std::span<double> z_out,

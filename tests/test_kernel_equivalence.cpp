@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <span>
 
 #include "common/thread_pool.hpp"
 #include "engine/eval_spec.hpp"
@@ -81,6 +83,73 @@ TEST(KernelGolden, LightconeEvaluatorMatchesPreOverhaul)
     EXPECT_NEAR(cone12.expectation(p2), 19.406385972506314, kGolden);
     LightconeCutEvaluator cone16(g, 2, 16);
     EXPECT_NEAR(cone16.expectation(p2), 19.400396703537446, kGolden);
+}
+
+// ---------------------------------------------------------------------
+// Trajectory pins: a 64-bit hash over the bits of every trajectory
+// estimator value (exact readout, sampled, batched) under two transpiled
+// device models, recorded before the trajectory kernels were rewritten.
+// n = 14 at 4 threads runs the chunked reductions, whose grouping
+// differs from the serial one, so each thread count has its own hash.
+// ---------------------------------------------------------------------
+
+/** FNV-1a step over the 8 bytes of @p bits. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t bits)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+}
+
+std::uint64_t
+trajectoryValuesHash(const NoiseModel &device)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](double v) { fnvMix(h, std::bit_cast<std::uint64_t>(v)); };
+    for (int n : {5, 8, 12, 14}) {
+        Rng grng(static_cast<std::uint64_t>(n) * 7 + 3);
+        Graph g = gen::connectedGnp(n, 0.35, grng);
+        for (int p : {1, 2}) {
+            Rng prng(static_cast<std::uint64_t>(n) * 31 + p);
+            const QaoaParams pts[2] = {QaoaParams::random(p, prng),
+                                       QaoaParams::random(p, prng)};
+            TrajectorySimulator sim(g, noise::transpiled(device, n), 4,
+                                    static_cast<std::uint64_t>(n + p));
+            mix(sim.expectation(pts[0]));
+            mix(sim.sampledExpectation(pts[1], 96));
+            for (double v : sim.batchExpectation(pts))
+                mix(v);
+        }
+    }
+    return h;
+}
+
+TEST(KernelGolden, TrajectoryValuesMatchPinnedHashes)
+{
+    ThreadGuard guard;
+    struct Pin
+    {
+        const char *device;
+        NoiseModel model;
+        int threads;
+        std::uint64_t hash;
+    };
+    const NoiseModel kolkata = noise::ibmKolkata();
+    const NoiseModel melbourne = noise::ibmMelbourne();
+    const Pin pins[] = {
+        {"ibmq_kolkata", kolkata, 1, 0x915f31dfbe578710ull},
+        {"ibmq_kolkata", kolkata, 4, 0x140029bf8ace7e03ull},
+        {"ibmq_16_melbourne", melbourne, 1, 0x21163e68765d4db0ull},
+        {"ibmq_16_melbourne", melbourne, 4, 0x5306e9593d9eda17ull},
+    };
+    for (const Pin &pin : pins) {
+        ThreadPool::setGlobalThreads(pin.threads);
+        const std::uint64_t got = trajectoryValuesHash(pin.model);
+        EXPECT_EQ(got, pin.hash) << pin.device << " at " << pin.threads
+                                 << " threads: hash 0x" << std::hex << got;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -175,6 +244,253 @@ TEST(KernelEquivalence, FusedZAndZzMatchesIndividualBitwise)
     for (std::size_t k = 0; k < pairs.size(); ++k)
         EXPECT_EQ(zz[k],
                   psi.zzExpectation(pairs[k].first, pairs[k].second));
+}
+
+/**
+ * Random amplitudes in which about half of the components are zeros of
+ * either sign, so signed-zero rounding is exercised too.
+ */
+Statevector
+randomState(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Statevector psi(n);
+    auto component = [&rng] {
+        const double v = rng.uniform(-1.0, 1.0);
+        switch (rng.index(4)) {
+          case 0:
+            return 0.0;
+          case 1:
+            return -0.0;
+          default:
+            return v;
+        }
+    };
+    for (std::size_t i = 0; i < psi.dim(); ++i) {
+        const double re = component();
+        psi[i] = Complex{re, component()};
+    }
+    return psi;
+}
+
+/** Bit patterns of every amplitude component (signed zeros included). */
+std::vector<std::uint64_t>
+ampBits(const std::vector<Complex> &amps)
+{
+    std::vector<std::uint64_t> bits;
+    bits.reserve(2 * amps.size());
+    for (const Complex &a : amps) {
+        bits.push_back(std::bit_cast<std::uint64_t>(a.real()));
+        bits.push_back(std::bit_cast<std::uint64_t>(a.imag()));
+    }
+    return bits;
+}
+
+/** applyRzz as a std::complex operator* loop. */
+void
+referenceRzz(std::vector<Complex> &amps, const RzzTerm &t)
+{
+    for (std::size_t i = 0; i < amps.size(); ++i)
+        amps[i] *= ((i >> t.a) ^ (i >> t.b)) & 1u ? t.odd : t.even;
+}
+
+/**
+ * applyRzzBatch as std::complex operator* loops: the same tiles, the
+ * same phase-product table built in the same order, and each
+ * amplitude's table row found from its term parities directly.
+ */
+void
+referenceRzzBatch(std::vector<Complex> &amps, std::span<const RzzTerm> terms)
+{
+    std::size_t group = 8;
+    while (group > 1 && (std::size_t{1} << group) > amps.size() / 4)
+        --group;
+    for (std::size_t offset = 0; offset < terms.size(); offset += group) {
+        const std::size_t k = std::min(group, terms.size() - offset);
+        if (k == 1) {
+            referenceRzz(amps, terms[offset]);
+            continue;
+        }
+        std::vector<Complex> table(std::size_t{1} << k);
+        table[0] = Complex{1.0, 0.0};
+        for (std::size_t j = 0, filled = 1; j < k; ++j, filled <<= 1) {
+            for (std::size_t idx = 0; idx < filled; ++idx) {
+                table[idx | filled] = table[idx] * terms[offset + j].odd;
+                table[idx] = table[idx] * terms[offset + j].even;
+            }
+        }
+        for (std::size_t i = 0; i < amps.size(); ++i) {
+            std::size_t idx = 0;
+            for (std::size_t j = 0; j < k; ++j) {
+                const RzzTerm &t = terms[offset + j];
+                idx |= (((i >> t.a) ^ (i >> t.b)) & 1u) << j;
+            }
+            amps[i] *= table[idx];
+        }
+    }
+}
+
+TEST(KernelEquivalence, DiagonalPassesMatchComplexProductLoopsBitwise)
+{
+    // n = 4 shrinks the RZZ tile to 2 terms; n = 15 at 4 threads runs
+    // the chunked element-wise paths.
+    ThreadGuard guard;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (int n : {4, 12, 15}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " threads=" + std::to_string(threads));
+            Rng rng(static_cast<std::uint64_t>(n) * 5 + 1);
+            const Statevector start = randomState(n, rng.bits53());
+
+            // 17 terms: full tiles plus a one-term remainder (applyRzz0).
+            std::vector<RzzTerm> terms;
+            for (int t = 0; t < 17; ++t) {
+                const int u = static_cast<int>(rng.index(n));
+                const int v =
+                    (u + 1 + static_cast<int>(rng.index(n - 1))) % n;
+                terms.push_back(makeRzzTerm(u, v, rng.uniform(-2.0, 2.0)));
+            }
+            Statevector batch = start;
+            batch.applyRzzBatch(terms);
+            std::vector<Complex> want = start.amplitudes();
+            referenceRzzBatch(want, terms);
+            EXPECT_EQ(ampBits(batch.amplitudes()), ampBits(want))
+                << "applyRzzBatch";
+
+            Statevector single = start;
+            want = start.amplitudes();
+            for (const RzzTerm &t : terms) {
+                const double theta = rng.uniform(-2.0, 2.0);
+                single.applyRzz(t.a, t.b, theta);
+                referenceRzz(want, makeRzzTerm(t.a, t.b, theta));
+            }
+            EXPECT_EQ(ampBits(single.amplitudes()), ampBits(want))
+                << "applyRzz";
+
+            Statevector rz = start;
+            want = start.amplitudes();
+            for (int q = 0; q < n; ++q) {
+                const double theta = rng.uniform(-2.0, 2.0);
+                rz.applyRz(q, theta);
+                const Complex mul[2] = {
+                    Complex{std::cos(theta / 2.0), -std::sin(theta / 2.0)},
+                    Complex{std::cos(theta / 2.0), std::sin(theta / 2.0)}};
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    want[i] *= mul[(i >> q) & 1u];
+            }
+            EXPECT_EQ(ampBits(rz.amplitudes()), ampBits(want)) << "applyRz";
+
+            const int max_code = 3 * n;
+            std::vector<std::int32_t> codes(start.dim());
+            for (std::int32_t &c : codes)
+                c = static_cast<std::int32_t>(
+                    rng.index(static_cast<std::size_t>(max_code) + 1));
+            std::vector<Complex> phases;
+            buildPhaseTable(max_code, 0.77, phases);
+            Statevector table = start;
+            table.applyPhaseTable(codes, phases);
+            want = start.amplitudes();
+            for (std::size_t i = 0; i < want.size(); ++i)
+                want[i] *= phases[static_cast<std::size_t>(codes[i])];
+            EXPECT_EQ(ampBits(table.amplitudes()), ampBits(want))
+                << "applyPhaseTable";
+        }
+    }
+}
+
+TEST(KernelEquivalence, PauliYMatchesGenericGateBitwise)
+{
+    // The Y matrix exactly as the generic path has always been handed
+    // it: -i carries a negative-zero real part.
+    const Complex i_unit{0.0, 1.0};
+    const Gate1Q y{Complex{0, 0}, -i_unit, i_unit, Complex{0, 0}};
+    ThreadGuard guard;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (int n : {4, 12, 15}) {
+            const Statevector start = randomState(n, 900 + n);
+            for (int q : {0, n / 2, n - 1}) {
+                Statevector fast = start;
+                Statevector generic = start;
+                fast.applyY(q);
+                generic.apply1Q(q, y);
+                EXPECT_EQ(ampBits(fast.amplitudes()),
+                          ampBits(generic.amplitudes()))
+                    << "n=" << n << " q=" << q << " threads=" << threads;
+            }
+        }
+    }
+}
+
+TEST(KernelEquivalence, FusedZAndZzMatchesIndividualBitwiseAtEverySize)
+{
+    // More than 8 outputs, never a multiple of 8, so the last register
+    // block is partial; pairs include a reversed pair and a self pair.
+    // n = 14 at 4 threads takes the chunked parallel path.
+    ThreadGuard guard;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (int n : {3, 9, 12, 14}) {
+            Rng rng(static_cast<std::uint64_t>(n) * 17 + 2);
+            const Statevector psi = randomState(n, rng.bits53());
+            std::vector<std::pair<int, int>> pairs{{0, 0}, {n - 1, 0}};
+            const std::size_t extra = n == 3 ? 6 : 3 * n + 1;
+            while (pairs.size() < extra) {
+                const int u = static_cast<int>(rng.index(n));
+                const int v =
+                    (u + 1 + static_cast<int>(rng.index(n - 1))) % n;
+                pairs.emplace_back(u, v);
+            }
+            ASSERT_GT(n + pairs.size(), 8u);
+            ASSERT_NE((n + pairs.size()) % 8, 0u);
+
+            std::vector<double> z(static_cast<std::size_t>(n));
+            std::vector<double> zz(pairs.size());
+            psi.zAndZzExpectations(pairs, z, zz);
+            for (int q = 0; q < n; ++q)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              z[static_cast<std::size_t>(q)]),
+                          std::bit_cast<std::uint64_t>(psi.zExpectation(q)))
+                    << "n=" << n << " threads=" << threads << " Z" << q;
+            for (std::size_t k = 0; k < pairs.size(); ++k)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(zz[k]),
+                          std::bit_cast<std::uint64_t>(psi.zzExpectation(
+                              pairs[k].first, pairs[k].second)))
+                    << "n=" << n << " threads=" << threads << " pair " << k;
+
+            // Without the <Z> outputs the pair sums are unchanged.
+            std::vector<double> zz_only(pairs.size());
+            psi.zAndZzExpectations(pairs, {}, zz_only);
+            EXPECT_EQ(zz_only, zz) << "n=" << n << " threads=" << threads;
+        }
+    }
+}
+
+TEST(KernelEquivalence, RzzBatchMatchesSequentialRzzWithSelfPairs)
+{
+    // Z_a Z_a = I: RZZ(a, a) multiplies every amplitude by the even
+    // phase, in the batch as in the one-term pass.
+    ThreadGuard guard;
+    ThreadPool::setGlobalThreads(1);
+    Rng rng(34);
+    const int n = 10;
+    std::vector<RzzTerm> terms;
+    Statevector a = Statevector::uniform(n);
+    Statevector b = Statevector::uniform(n);
+    for (int t = 0; t < 17; ++t) {
+        const int u = static_cast<int>(rng.index(n));
+        int v = u; // Every third term is a self pair.
+        if (t % 3 != 0)
+            v = (u + 1 + static_cast<int>(rng.index(n - 1))) % n;
+        const double theta = rng.uniform(-1.5, 1.5);
+        terms.push_back(makeRzzTerm(u, v, theta));
+        b.applyRzz(u, v, theta);
+    }
+    a.applyRzzBatch(terms);
+    for (std::size_t i = 0; i < a.dim(); ++i)
+        EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-14)
+            << "batched phase product drifted at amp " << i;
 }
 
 TEST(KernelEquivalence, ExpectationFromTableMatchesManualLoop)
