@@ -21,8 +21,10 @@ RedQaoaPipeline::runWithSearchGraph(const Graph &g,
                                     Rng &rng) const
 {
     PipelineResult out;
-    const Graph &search_graph = reduction.reduced.graph;
+    // Bind the search graph after the move: a reference into the
+    // moved-from reduction would name an empty graph.
     out.reduction = std::move(reduction);
+    const Graph &search_graph = out.reduction.reduced.graph;
 
     // Stage 2: noisy parameter search on the (possibly reduced) graph.
     Objective search_obj = engine_->objective(

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/pipeline.hpp"
 #include "graph/generators.hpp"
 
@@ -61,6 +63,41 @@ TEST(Pipeline, BaselineKeepsWholeGraph)
     EXPECT_EQ(res.reduction.reduced.graph.numNodes(), g.numNodes());
     EXPECT_DOUBLE_EQ(res.reduction.andRatio, 1.0);
     EXPECT_LE(res.approxRatio, 1.0 + 1e-9);
+}
+
+TEST(Pipeline, SearchRunsOnTheDistilledGraph)
+{
+    // The search's first evaluation must have seen the reported search
+    // graph: a fresh objective over it, with the search stage's spec,
+    // reproduces the first trace entry bit for bit. (An empty graph
+    // would read -0.0 at every point.) run() searches G', runBaseline()
+    // searches G itself.
+    Rng rng(7);
+    Graph g = gen::connectedGnp(9, 0.45, rng);
+    const PipelineOptions opts = fastOptions();
+    RedQaoaPipeline pipe(opts);
+    Rng run_rng(11), baseline_rng(11);
+    const PipelineResult red = pipe.run(g, run_rng);
+    const PipelineResult baseline = pipe.runBaseline(g, baseline_rng);
+    for (const PipelineResult *res : {&red, &baseline}) {
+        const Graph &searched = res->reduction.reduced.graph;
+        ASSERT_GT(searched.numEdges(), 0);
+        const OptResult &first = res->searchRuns.front();
+        ASSERT_FALSE(first.trace.empty());
+        Objective fresh = pipe.engine().objective(
+            searched,
+            EvalSpec::noisy(noise::transpiled(opts.noise,
+                                              searched.numNodes()),
+                            opts.layers, opts.trajectories, opts.seed,
+                            opts.shots));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      fresh(first.iterates.front())),
+                  std::bit_cast<std::uint64_t>(first.trace.front()))
+            << "search graph of " << searched.numNodes() << " nodes";
+        EXPECT_LT(first.trace.front(), 0.0);
+    }
+    EXPECT_LT(red.reduction.reduced.graph.numNodes(), g.numNodes());
+    EXPECT_EQ(baseline.reduction.reduced.graph.numNodes(), g.numNodes());
 }
 
 TEST(Pipeline, IdealNoiseRecoversGoodRatios)
