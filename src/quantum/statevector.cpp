@@ -171,6 +171,7 @@ struct ParitySteps
         }
     }
 
+    /** The pattern at index @p i: the XOR of its set bits' columns. */
     std::uint8_t at(std::size_t i) const
     {
         std::uint8_t pattern = 0;

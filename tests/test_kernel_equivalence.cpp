@@ -3,9 +3,10 @@
  * Kernel-overhaul equivalence suite. Three layers of protection:
  *  - golden values: ExactEvaluator / NoisyEvaluator / LightconeEvaluator
  *    expectations on fixed graphs+params, pinned to 1e-12 against the
- *    values the pre-overhaul kernels produced (captured at threads=1);
+ *    values the pre-overhaul kernels produced (captured at threads=1),
+ *    and hashes of trajectory estimator bits at 1 and 4 threads;
  *  - kernel equivalences: each fused/fast-path kernel against the
- *    simple reference it replaced, bit-for-bit on a 1-thread pool;
+ *    simple reference it replaced, bit-for-bit;
  *  - thread-count invariance: the intra-state parallel paths must give
  *    identical results at 2 and 8 threads, and stay within 1e-12 of
  *    the serial 1-thread value (reductions regroup into fixed chunks
@@ -153,9 +154,74 @@ TEST(KernelGolden, TrajectoryValuesMatchPinnedHashes)
 }
 
 // ---------------------------------------------------------------------
-// Fused / fast-path kernels against their references (1-thread pool:
-// every kernel takes the serial path, results must be bit-identical).
+// Fused / fast-path kernels against their references, bit for bit (on a
+// 1-thread pool, where every kernel takes the serial path, unless a
+// test also runs 4 threads).
 // ---------------------------------------------------------------------
+
+/**
+ * Random amplitudes in which about half of the components are zeros of
+ * either sign, so signed-zero rounding is exercised too.
+ */
+Statevector
+randomState(int n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Statevector psi(n);
+    auto component = [&rng] {
+        const double v = rng.uniform(-1.0, 1.0);
+        switch (rng.index(4)) {
+          case 0:
+            return 0.0;
+          case 1:
+            return -0.0;
+          default:
+            return v;
+        }
+    };
+    for (std::size_t i = 0; i < psi.dim(); ++i) {
+        const double re = component();
+        psi[i] = Complex{re, component()};
+    }
+    return psi;
+}
+
+/** Bit patterns of every amplitude component (signed zeros included). */
+std::vector<std::uint64_t>
+ampBits(const std::vector<Complex> &amps)
+{
+    std::vector<std::uint64_t> bits;
+    bits.reserve(2 * amps.size());
+    for (const Complex &a : amps) {
+        bits.push_back(std::bit_cast<std::uint64_t>(a.real()));
+        bits.push_back(std::bit_cast<std::uint64_t>(a.imag()));
+    }
+    return bits;
+}
+
+/** Every fused readout output equals its per-output sum, bit for bit. */
+void
+expectFusedReadoutBitwise(const Statevector &psi,
+                          const std::vector<std::pair<int, int>> &pairs)
+{
+    std::vector<double> z(static_cast<std::size_t>(psi.numQubits()));
+    std::vector<double> zz(pairs.size());
+    psi.zAndZzExpectations(pairs, z, zz);
+    for (int q = 0; q < psi.numQubits(); ++q)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      z[static_cast<std::size_t>(q)]),
+                  std::bit_cast<std::uint64_t>(psi.zExpectation(q)))
+            << "Z" << q;
+    for (std::size_t k = 0; k < pairs.size(); ++k)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(zz[k]),
+                  std::bit_cast<std::uint64_t>(psi.zzExpectation(
+                      pairs[k].first, pairs[k].second)))
+            << "pair " << k;
+    // Without the <Z> outputs the pair sums are unchanged.
+    std::vector<double> zz_only(pairs.size());
+    psi.zAndZzExpectations(pairs, {}, zz_only);
+    EXPECT_EQ(zz_only, zz);
+}
 
 TEST(KernelEquivalence, PhaseTableMatchesDiagonalPhaseBitwise)
 {
@@ -218,6 +284,13 @@ TEST(KernelEquivalence, RzzBatchMatchesSequentialRzz)
         terms.push_back(makeRzzTerm(u, v, theta));
         b.applyRzz(u, v, theta);
     }
+    // Self pairs share the last tile: Z_a Z_a = I, so RZZ(a, a) is the
+    // even phase everywhere, in the batch as in the one-term pass.
+    for (int u : {0, 4, 9}) {
+        const double theta = rng.uniform(-1.5, 1.5);
+        terms.push_back(makeRzzTerm(u, u, theta));
+        b.applyRzz(u, u, theta);
+    }
     a.applyRzzBatch(terms);
     for (std::size_t i = 0; i < a.dim(); ++i)
         EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-14)
@@ -244,46 +317,29 @@ TEST(KernelEquivalence, FusedZAndZzMatchesIndividualBitwise)
     for (std::size_t k = 0; k < pairs.size(); ++k)
         EXPECT_EQ(zz[k],
                   psi.zzExpectation(pairs[k].first, pairs[k].second));
-}
 
-/**
- * Random amplitudes in which about half of the components are zeros of
- * either sign, so signed-zero rounding is exercised too.
- */
-Statevector
-randomState(int n, std::uint64_t seed)
-{
-    Rng rng(seed);
-    Statevector psi(n);
-    auto component = [&rng] {
-        const double v = rng.uniform(-1.0, 1.0);
-        switch (rng.index(4)) {
-          case 0:
-            return 0.0;
-          case 1:
-            return -0.0;
-          default:
-            return v;
+    // Random states with more than 8 outputs, never a multiple of 8, so
+    // the last register block is partial; the pairs include a self pair
+    // and a reversed one. n = 14 at 4 threads takes the chunked path.
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (int n : {3, 9, 12, 14}) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " threads=" + std::to_string(threads));
+            Rng state_rng(static_cast<std::uint64_t>(n) * 17 + 2);
+            std::vector<std::pair<int, int>> more{{0, 0}, {n - 1, 0}};
+            const std::size_t count = n == 3 ? 6 : 3 * n + 1;
+            while (more.size() < count) {
+                const int u = static_cast<int>(state_rng.index(n));
+                const int v =
+                    (u + 1 + static_cast<int>(state_rng.index(n - 1))) % n;
+                more.emplace_back(u, v);
+            }
+            ASSERT_NE((n + more.size()) % 8, 0u);
+            expectFusedReadoutBitwise(randomState(n, state_rng.bits53()),
+                                      more);
         }
-    };
-    for (std::size_t i = 0; i < psi.dim(); ++i) {
-        const double re = component();
-        psi[i] = Complex{re, component()};
     }
-    return psi;
-}
-
-/** Bit patterns of every amplitude component (signed zeros included). */
-std::vector<std::uint64_t>
-ampBits(const std::vector<Complex> &amps)
-{
-    std::vector<std::uint64_t> bits;
-    bits.reserve(2 * amps.size());
-    for (const Complex &a : amps) {
-        bits.push_back(std::bit_cast<std::uint64_t>(a.real()));
-        bits.push_back(std::bit_cast<std::uint64_t>(a.imag()));
-    }
-    return bits;
 }
 
 /** applyRzz as a std::complex operator* loop. */
@@ -421,76 +477,6 @@ TEST(KernelEquivalence, PauliYMatchesGenericGateBitwise)
             }
         }
     }
-}
-
-TEST(KernelEquivalence, FusedZAndZzMatchesIndividualBitwiseAtEverySize)
-{
-    // More than 8 outputs, never a multiple of 8, so the last register
-    // block is partial; pairs include a reversed pair and a self pair.
-    // n = 14 at 4 threads takes the chunked parallel path.
-    ThreadGuard guard;
-    for (int threads : {1, 4}) {
-        ThreadPool::setGlobalThreads(threads);
-        for (int n : {3, 9, 12, 14}) {
-            Rng rng(static_cast<std::uint64_t>(n) * 17 + 2);
-            const Statevector psi = randomState(n, rng.bits53());
-            std::vector<std::pair<int, int>> pairs{{0, 0}, {n - 1, 0}};
-            const std::size_t extra = n == 3 ? 6 : 3 * n + 1;
-            while (pairs.size() < extra) {
-                const int u = static_cast<int>(rng.index(n));
-                const int v =
-                    (u + 1 + static_cast<int>(rng.index(n - 1))) % n;
-                pairs.emplace_back(u, v);
-            }
-            ASSERT_GT(n + pairs.size(), 8u);
-            ASSERT_NE((n + pairs.size()) % 8, 0u);
-
-            std::vector<double> z(static_cast<std::size_t>(n));
-            std::vector<double> zz(pairs.size());
-            psi.zAndZzExpectations(pairs, z, zz);
-            for (int q = 0; q < n; ++q)
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                              z[static_cast<std::size_t>(q)]),
-                          std::bit_cast<std::uint64_t>(psi.zExpectation(q)))
-                    << "n=" << n << " threads=" << threads << " Z" << q;
-            for (std::size_t k = 0; k < pairs.size(); ++k)
-                EXPECT_EQ(std::bit_cast<std::uint64_t>(zz[k]),
-                          std::bit_cast<std::uint64_t>(psi.zzExpectation(
-                              pairs[k].first, pairs[k].second)))
-                    << "n=" << n << " threads=" << threads << " pair " << k;
-
-            // Without the <Z> outputs the pair sums are unchanged.
-            std::vector<double> zz_only(pairs.size());
-            psi.zAndZzExpectations(pairs, {}, zz_only);
-            EXPECT_EQ(zz_only, zz) << "n=" << n << " threads=" << threads;
-        }
-    }
-}
-
-TEST(KernelEquivalence, RzzBatchMatchesSequentialRzzWithSelfPairs)
-{
-    // Z_a Z_a = I: RZZ(a, a) multiplies every amplitude by the even
-    // phase, in the batch as in the one-term pass.
-    ThreadGuard guard;
-    ThreadPool::setGlobalThreads(1);
-    Rng rng(34);
-    const int n = 10;
-    std::vector<RzzTerm> terms;
-    Statevector a = Statevector::uniform(n);
-    Statevector b = Statevector::uniform(n);
-    for (int t = 0; t < 17; ++t) {
-        const int u = static_cast<int>(rng.index(n));
-        int v = u; // Every third term is a self pair.
-        if (t % 3 != 0)
-            v = (u + 1 + static_cast<int>(rng.index(n - 1))) % n;
-        const double theta = rng.uniform(-1.5, 1.5);
-        terms.push_back(makeRzzTerm(u, v, theta));
-        b.applyRzz(u, v, theta);
-    }
-    a.applyRzzBatch(terms);
-    for (std::size_t i = 0; i < a.dim(); ++i)
-        EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-14)
-            << "batched phase product drifted at amp " << i;
 }
 
 TEST(KernelEquivalence, ExpectationFromTableMatchesManualLoop)
