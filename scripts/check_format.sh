@@ -14,6 +14,10 @@
 # scripts/*.py get the mechanical checks too, plus a pyflakes pass when
 # the tool is installed (CI runners have it; local machines without it
 # just skip the lint, never fail on the missing tool).
+#
+# Layering (always enforced): the kernel layers (src/common, graph,
+# circuit, quantum, opt, pooling) include no header from the layers
+# built on them (engine/, core/, landscape/, obs/, service/).
 set -u
 
 cd "$(dirname "$0")/.."
@@ -40,6 +44,15 @@ for f in $files $py_files; do
         fail=1
     fi
 done
+
+lower_layers="src/common src/graph src/circuit src/quantum src/opt src/pooling"
+upward=$(grep -rnE '#include "(engine|core|landscape|obs|service)/' \
+    $lower_layers)
+if [ -n "$upward" ]; then
+    echo "error: lower layer includes an upper-layer header:"
+    echo "$upward"
+    fail=1
+fi
 
 cf=""
 for candidate in "${CLANG_FORMAT:-}" clang-format-15 clang-format; do

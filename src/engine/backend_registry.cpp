@@ -57,15 +57,6 @@ const bool kStatevectorRegistered = BackendRegistry::instance().add(
         return std::make_unique<ExactEvaluator>(g);
     });
 
-const bool kStatevectorBatchedRegistered = BackendRegistry::instance().add(
-    EvalBackend::StatevectorBatched,
-    [](const Graph &g, const EvalSpec &, ArtifactCache *cache) {
-        if (cache)
-            return std::make_unique<BatchedExactEvaluator>(
-                g, cache->cutTable(g));
-        return std::make_unique<BatchedExactEvaluator>(g);
-    });
-
 const bool kAnalyticRegistered = BackendRegistry::instance().add(
     EvalBackend::AnalyticP1,
     [](const Graph &g, const EvalSpec &,

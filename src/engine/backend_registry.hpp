@@ -7,10 +7,9 @@
  * optional ArtifactCache so engine-built evaluators share per-graph
  * tables while standalone construction stays dependency-free.
  *
- * makeEvaluator(g, spec) is the one public construction path — the
- * historical makeIdealEvaluator / makeNoisyEvaluator helpers and every
- * hand-rolled constructor call in examples and bench figures route
- * through it (satellite: one policy, one place; see resolveBackend()).
+ * makeEvaluator(g, spec) is the one public construction path — every
+ * hand-rolled constructor call in examples and bench figures routes
+ * through it (one policy, one place; see resolveBackend()).
  */
 
 #ifndef REDQAOA_ENGINE_BACKEND_REGISTRY_HPP

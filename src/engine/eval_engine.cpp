@@ -6,10 +6,15 @@
 
 #include "common/thread_pool.hpp"
 #include "obs/profiler.hpp"
+#include "quantum/batched_kernels.hpp"
 
 namespace redqaoa {
 
 namespace {
+
+/** Points per lane group: a job this large hands its points to lanes. */
+constexpr std::size_t kLanes =
+    static_cast<std::size_t>(batched::kBatchLanes);
 
 /**
  * Exact-bits encoding of one parameter point (memo keys must treat
@@ -42,14 +47,15 @@ batchBits(const std::vector<QaoaParams> &params)
 }
 
 /**
- * Lane-occupancy counters of one batched sweep (occupancy is points /
- * (kBatchLanes * sweeps)).
+ * Lane-occupancy counters of one batchExpectationInto call (occupancy
+ * is points / (kBatchLanes * sweeps)); a call that went point by point
+ * swept nothing and counts nothing.
  */
 void
 countLaneSweeps(std::size_t sweeps, std::size_t points)
 {
     obs::Profiler &profiler = obs::Profiler::global();
-    if (!profiler.enabled())
+    if (sweeps == 0 || !profiler.enabled())
         return;
     profiler.count("batched.sweeps", sweeps);
     profiler.count("batched.points", points);
@@ -135,7 +141,7 @@ EvalEngine::batchObjective(const Graph &g, const EvalSpec &spec)
         for (const std::vector<double> &x : xs)
             params.push_back(QaoaParams::unflatten(x));
         std::vector<double> values(params.size());
-        if (exact && params.size() >= kBatchedPointsThreshold) {
+        if (exact) {
             std::vector<const QaoaParams *> points(params.size());
             for (std::size_t i = 0; i < params.size(); ++i)
                 points[i] = &params[i];
@@ -190,9 +196,8 @@ EvalEngine::drain()
         double *slot;
     };
     /**
-     * One job's pending points routed through the batched statevector
-     * sweep (point-aware resolution); executed as a single lane-group
-     * batch inside the fan-out.
+     * One multi-point statevector job's pending points, handed to the
+     * evaluator's lane rule as one index of the fan-out.
      */
     struct BatchTask
     {
@@ -230,12 +235,8 @@ EvalEngine::drain()
     // time separately below).
     std::optional<obs::StageTimer> memoStage;
     memoStage.emplace("engine.drain.memo", "worker.execute");
-    obs::Profiler &profiler = obs::Profiler::global();
     for (const JobPtr &job : jobs) {
-        EvalBackend kind =
-            resolveBackend(job->spec, job->graph, job->params.size());
-        if (profiler.enabled())
-            profiler.count(backendCounterName(kind));
+        EvalBackend kind = resolveBackend(job->spec, job->graph);
         if (!deterministicBackend(kind)) {
             trajectoryJobs.push_back(job);
             continue;
@@ -243,17 +244,14 @@ EvalEngine::drain()
         deterministicJobs.push_back(job);
         std::shared_ptr<CutEvaluator> ev =
             cachedEvaluator(job->graph, job->spec, kind);
-        // The batched sweep needs the cut-table access only the exact
+        // The lane sweep needs the cut-table access only the exact
         // evaluator has; a foreign registration falls back to the
         // per-point path (values are identical either way).
-        const ExactEvaluator *batchedEval =
-            kind == EvalBackend::StatevectorBatched
-                ? dynamic_cast<const ExactEvaluator *>(ev.get())
-                : nullptr;
+        const auto *exact = dynamic_cast<const ExactEvaluator *>(ev.get());
         std::unique_ptr<BatchTask> task;
-        if (batchedEval) {
+        if (exact && job->params.size() >= kLanes) {
             task = std::make_unique<BatchTask>();
-            task->eval = batchedEval;
+            task->eval = exact;
         }
         std::uint64_t gid = cache_.graphId(job->graph);
         std::string specKey = backendCacheKey(job->spec, kind);

@@ -195,10 +195,11 @@ class EvalEngine
      * Batch form of objective() for the lockstep multiRestart: the same
      * value per point, bit for bit. Deterministic backends only (throws
      * std::invalid_argument for Trajectory, whose values depend on call
-     * order). On the statevector evaluator a batch of at least
-     * kBatchedPointsThreshold points sweeps BatchedStateSet lane
-     * groups; smaller batches and other backends go point by point on
-     * the calling thread.
+     * order). On the statevector evaluator every batch goes through
+     * ExactEvaluator::batchExpectationInto, whose lane rule sweeps
+     * lane groups at batched::kBatchLanes points or more; smaller
+     * batches and other backends go point by point on the calling
+     * thread.
      */
     BatchObjective batchObjective(const Graph &g, const EvalSpec &spec);
 
@@ -210,13 +211,16 @@ class EvalEngine
      * Execute every pending job: deterministic points from all jobs
      * (minus memo hits) fan out over the global pool in one shot;
      * trajectory jobs then run as whole batches in submission order.
-     * Jobs the point-aware resolveBackend overload promotes to the
-     * batched statevector backend (Auto specs carrying >=
-     * kBatchedPointsThreshold points on an exact-sized graph) sweep
-     * their points through BatchedStateSet lane groups instead of
-     * per-point tasks — byte-identical values, fewer table passes.
-     * Lane sweeps here and in batchObjective() bump the profiler
-     * counters batched.sweeps (lane groups) and batched.points.
+     * Each job resolves with resolveBackend(spec, g), so a statevector
+     * job shares one evaluator, memo keys and store keys with every
+     * other statevector job on its graph, whatever its size. A job of
+     * at least batched::kBatchLanes points on an ExactEvaluator is one
+     * fan-out index that hands its pending points to the evaluator's
+     * lane rule (ExactEvaluator::batchExpectationInto); every other
+     * point is its own index. Values are byte-identical either way.
+     * Real lane sweeps here and in batchObjective() bump the profiler
+     * counters batched.sweeps (lane groups) and batched.points; the
+     * backend counters are the router's, once per request.
      */
     void drain();
 

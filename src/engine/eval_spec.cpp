@@ -14,8 +14,6 @@ backendName(EvalBackend kind)
         return "auto";
     case EvalBackend::Statevector:
         return "statevector";
-    case EvalBackend::StatevectorBatched:
-        return "statevector_batched";
     case EvalBackend::AnalyticP1:
         return "analytic-p1";
     case EvalBackend::Lightcone:
@@ -34,8 +32,6 @@ backendCounterName(EvalBackend kind)
         return "backend.auto";
     case EvalBackend::Statevector:
         return "backend.statevector";
-    case EvalBackend::StatevectorBatched:
-        return "backend.statevector_batched";
     case EvalBackend::AnalyticP1:
         return "backend.analytic-p1";
     case EvalBackend::Lightcone:
@@ -91,17 +87,6 @@ resolveBackend(const EvalSpec &spec, const Graph &g)
     return EvalBackend::Lightcone;
 }
 
-EvalBackend
-resolveBackend(const EvalSpec &spec, const Graph &g, std::size_t points)
-{
-    EvalBackend kind = resolveBackend(spec, g);
-    if (spec.backend == EvalBackend::Auto &&
-        kind == EvalBackend::Statevector &&
-        points >= kBatchedPointsThreshold)
-        return EvalBackend::StatevectorBatched;
-    return kind;
-}
-
 bool
 deterministicBackend(EvalBackend kind)
 {
@@ -127,13 +112,9 @@ backendCacheKey(const EvalSpec &spec, EvalBackend kind)
     std::string key = backendName(kind);
     switch (kind) {
     case EvalBackend::Statevector:
-    case EvalBackend::StatevectorBatched:
     case EvalBackend::AnalyticP1:
         // Depth- and limit-independent: the evaluator answers any
-        // params (AnalyticP1 only ever sees p = 1 queries). The
-        // batched statevector keeps its own key namespace: a point
-        // computed under one sweep shape misses the other's memo, but
-        // byte-identity makes the recomputation value-invisible.
+        // params (AnalyticP1 only ever sees p = 1 queries).
         return key;
     case EvalBackend::Lightcone: {
         char buf[48];

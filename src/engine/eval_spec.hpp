@@ -16,7 +16,6 @@
 #include <string>
 
 #include "graph/graph.hpp"
-#include "quantum/batched_kernels.hpp"
 #include "quantum/noise.hpp"
 
 namespace redqaoa {
@@ -26,27 +25,10 @@ enum class EvalBackend
 {
     Auto,        //!< Resolve per (graph, spec); see resolveBackend().
     Statevector, //!< Exact 2^n simulation (ExactEvaluator).
-    /**
-     * Exact 2^n simulation advancing kBatchLanes statevectors per
-     * table pass (BatchedExactEvaluator over BatchedStateSet).
-     * Byte-identical to Statevector at every thread count — the
-     * point-aware resolveBackend overload prefers it for multi-point
-     * jobs, and pinning it is always safe.
-     */
-    StatevectorBatched,
     AnalyticP1,  //!< Closed-form p=1 (AnalyticEvaluator).
     Lightcone,   //!< Per-edge cones (LightconeCutEvaluator).
     Trajectory,  //!< Pauli-trajectory noise (NoisyEvaluator).
 };
-
-/**
- * Deterministic points on one graph at or above which multi-point
- * surfaces (EvalEngine::drain, ExactEvaluator::batchExpectation)
- * prefer the batched statevector path: below one full lane group the
- * padded lanes would do more arithmetic than they save.
- */
-constexpr std::size_t kBatchedPointsThreshold =
-    static_cast<std::size_t>(batched::kBatchLanes);
 
 /** Registry name of a backend ("auto", "statevector", ...). */
 const char *backendName(EvalBackend kind);
@@ -63,7 +45,7 @@ struct EvalSpec
      * Auto policy: graphs at or below this many nodes use the exact
      * statevector; above it, the closed form at p = 1 and otherwise
      * the light-cone evaluator, for which this value doubles as the
-     * cone cap (the historical makeIdealEvaluator contract).
+     * cone cap.
      */
     int exactQubitLimit = 16;
     NoiseModel noise;     //!< Non-ideal noise selects Trajectory in Auto.
@@ -78,7 +60,7 @@ struct EvalSpec
      * Noisy trajectory evaluation under @p nm. Pins the Trajectory
      * backend (not Auto): asking for noisy evaluation means trajectory
      * averaging and shot sampling even when every channel of @p nm is
-     * trivial — the historical makeNoisyEvaluator contract.
+     * trivial.
      */
     static EvalSpec noisy(const NoiseModel &nm, int p = 1,
                           int trajectories = 48, std::uint64_t seed = 99,
@@ -98,17 +80,6 @@ struct EvalSpec
 EvalBackend resolveBackend(const EvalSpec &spec, const Graph &g);
 
 /**
- * Point-aware resolution: like resolveBackend(spec, g), but an Auto
- * spec that lands on Statevector is promoted to StatevectorBatched
- * when the job carries at least kBatchedPointsThreshold points (the
- * two backends are byte-identical, so the promotion is invisible in
- * values — it only changes how the work is swept). Pinned non-Auto
- * specs always pass through unchanged.
- */
-EvalBackend resolveBackend(const EvalSpec &spec, const Graph &g,
-                           std::size_t points);
-
-/**
  * True when the resolved backend is a pure function of (graph, spec,
  * params) — every backend except Trajectory, whose values depend on
  * the position of the point in the simulator's RNG stream history.
@@ -121,6 +92,9 @@ bool deterministicBackend(EvalBackend kind);
  * Canonical cache key of the spec once resolved to @p kind: equal keys
  * guarantee evaluators are interchangeable (fields a backend ignores
  * are left out, so e.g. any-depth statevector specs share one entry).
+ * The engine's evaluator cache, point memo and warm-start store all
+ * key on it, so every statevector point of a graph, whatever the size
+ * of its batch, lives in one key space.
  */
 std::string backendCacheKey(const EvalSpec &spec, EvalBackend kind);
 

@@ -1,11 +1,18 @@
 #include "quantum/evaluator.hpp"
 
 #include "common/thread_pool.hpp"
-#include "engine/backend_registry.hpp"
-#include "engine/eval_spec.hpp"
+#include "quantum/batched_kernels.hpp"
 #include "quantum/batched_state.hpp"
 
 namespace redqaoa {
+
+namespace {
+
+/** Points per lane group, the size at which a batch sweeps lanes. */
+constexpr std::size_t kLanes =
+    static_cast<std::size_t>(batched::kBatchLanes);
+
+} // namespace
 
 std::vector<double>
 CutEvaluator::batchExpectation(std::span<const QaoaParams> params)
@@ -24,7 +31,7 @@ CutEvaluator::batchExpectation(std::span<const QaoaParams> params)
 std::vector<double>
 ExactEvaluator::batchExpectation(std::span<const QaoaParams> params)
 {
-    if (params.size() < kBatchedPointsThreshold)
+    if (params.size() < kLanes)
         return CutEvaluator::batchExpectation(params);
     std::vector<const QaoaParams *> pts(params.size());
     for (std::size_t i = 0; i < params.size(); ++i)
@@ -38,27 +45,14 @@ std::size_t
 ExactEvaluator::batchExpectationInto(
     std::span<const QaoaParams *const> points, std::span<double> out) const
 {
+    if (points.size() < kLanes) {
+        for (std::size_t i = 0; i < points.size(); ++i)
+            out[i] = sim_.expectation(*points[i]);
+        return 0;
+    }
     const CutTable &table = *sim_.sharedTable();
     return batchedCutExpectations(table.codes, table.maxCode,
                                   sim_.numQubits(), points, out);
-}
-
-std::unique_ptr<CutEvaluator>
-makeIdealEvaluator(const Graph &g, int p, int exact_qubit_limit)
-{
-    // Thin wrapper over the backend registry: the selection policy
-    // itself lives in resolveBackend() (engine/eval_spec.hpp).
-    return makeEvaluator(g, EvalSpec::ideal(p, exact_qubit_limit));
-}
-
-std::unique_ptr<CutEvaluator>
-makeNoisyEvaluator(const Graph &g, const NoiseModel &nm, int trajectories,
-                   std::uint64_t seed, int shots)
-{
-    // EvalSpec::noisy pins the Trajectory backend even under a noise
-    // model whose channels are all trivial.
-    return makeEvaluator(g,
-                         EvalSpec::noisy(nm, 1, trajectories, seed, shots));
 }
 
 } // namespace redqaoa

@@ -77,21 +77,25 @@ class ExactEvaluator : public CutEvaluator
     std::string describe() const override { return "statevector"; }
 
     /**
-     * Multi-point fast path: at or above kBatchedPointsThreshold
-     * points the batch is swept through BatchedStateSet lane groups
-     * (one pass over the cut table advances kBatchLanes points),
-     * byte-identical to the per-point default at every thread count.
-     * Landscape grids route through here automatically.
+     * Multi-point fast path: batches of at least batched::kBatchLanes
+     * points go through batchExpectationInto's lane groups; smaller
+     * ones keep the parallel per-point default. Byte-identical to
+     * expectation() per point at every thread count. Landscape grids
+     * route through here automatically.
      */
     std::vector<double>
     batchExpectation(std::span<const QaoaParams> params) override;
 
     /**
-     * The batched sweep over non-contiguous points (the engine's
-     * drain holds points scattered across job states). Always takes
-     * the batched path regardless of count; @p out has points.size()
-     * slots. Values are byte-identical to expectation() per point.
-     * Returns the number of lane groups swept.
+     * THE lane rule, over non-contiguous points (the engine's drain
+     * holds points scattered across job states): at least
+     * batched::kBatchLanes points are swept through BatchedStateSet
+     * lane groups (one pass over the cut table advances kBatchLanes
+     * points); fewer go point by point on the calling thread, since
+     * a padded group would do more arithmetic than it saves. @p out
+     * has points.size() slots, byte-identical to expectation() per
+     * point. Returns the number of lane groups swept (0 below the
+     * lane count).
      */
     std::size_t
     batchExpectationInto(std::span<const QaoaParams *const> points,
@@ -105,25 +109,6 @@ class ExactEvaluator : public CutEvaluator
 
   private:
     QaoaSimulator sim_;
-};
-
-/**
- * The `statevector_batched` registry backend: an ExactEvaluator whose
- * construction pins the batched sweep explicitly (the point-aware
- * resolveBackend overload prefers it for multi-point jobs; see
- * EvalBackend::StatevectorBatched). Single-point expectation() is the
- * plain scalar path — the two backends differ only in how batches are
- * swept, never in values.
- */
-class BatchedExactEvaluator : public ExactEvaluator
-{
-  public:
-    using ExactEvaluator::ExactEvaluator;
-
-    std::string describe() const override
-    {
-        return "statevector_batched";
-    }
 };
 
 /** Pauli-trajectory noisy backend. */
@@ -245,23 +230,6 @@ class LightconeCutEvaluator : public CutEvaluator
   private:
     std::shared_ptr<const LightconeEvaluator> eval_;
 };
-
-/**
- * Pick the cheapest exact(ish) ideal evaluator for (graph, depth):
- * statevector below @p exact_qubit_limit qubits, the closed form at
- * p = 1, the light-cone evaluator otherwise. Thin wrapper over the
- * backend registry's Auto policy (engine/eval_spec.hpp) — prefer
- * makeEvaluator / EvalEngine::evaluator in new code.
- */
-std::unique_ptr<CutEvaluator> makeIdealEvaluator(const Graph &g, int p,
-                                                 int exact_qubit_limit = 16);
-
-/** Noisy trajectory evaluator factory (see NoisyEvaluator on shots). */
-std::unique_ptr<CutEvaluator> makeNoisyEvaluator(const Graph &g,
-                                                 const NoiseModel &nm,
-                                                 int trajectories = 48,
-                                                 std::uint64_t seed = 99,
-                                                 int shots = 0);
 
 } // namespace redqaoa
 

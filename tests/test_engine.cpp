@@ -27,6 +27,7 @@
 #include "graph/generators.hpp"
 #include "landscape/landscape.hpp"
 #include "obs/profiler.hpp"
+#include "quantum/batched_kernels.hpp"
 
 namespace redqaoa {
 namespace {
@@ -72,17 +73,13 @@ TEST(BackendRegistry, AutoPolicyMatchesHistoricalSelection)
     EXPECT_EQ(makeEvaluator(small, auto_noisy)->describe(),
               "noisy:ibmq_kolkata");
     // EvalSpec::noisy PINS Trajectory, so pipelines keep trajectory
-    // averaging and shot sampling even under an ideal noise model (the
-    // historical makeNoisyEvaluator contract).
+    // averaging and shot sampling even under an ideal noise model.
     EXPECT_EQ(makeEvaluator(small, EvalSpec::noisy(noise::ibmKolkata()))
                   ->describe(),
               "noisy:ibmq_kolkata");
     EXPECT_EQ(makeEvaluator(small, EvalSpec::noisy(noise::ideal()))
                   ->describe(),
               "noisy:ideal");
-    // And the historical helper is a thin wrapper over the same policy.
-    EXPECT_EQ(makeIdealEvaluator(large, 2)->describe(),
-              makeEvaluator(large, EvalSpec::ideal(2))->describe());
 }
 
 TEST(BackendRegistry, DuplicateRegistrationThrows)
@@ -103,51 +100,12 @@ TEST(BackendRegistry, DuplicateRegistrationThrows)
                  std::invalid_argument);
 }
 
-TEST(BackendRegistry, PointAwareResolutionPromotesMultiPointJobs)
-{
-    Graph small = smallGraph();
-    Graph large = largeGraph();
-    std::vector<QaoaParams> pts; // Only the count matters here.
-
-    // Auto specs that resolve to the statevector backend promote to
-    // the batched sweep at kBatchedPointsThreshold points, not before.
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small,
-                             kBatchedPointsThreshold - 1),
-              EvalBackend::Statevector);
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small,
-                             kBatchedPointsThreshold),
-              EvalBackend::StatevectorBatched);
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), small, 100),
-              EvalBackend::StatevectorBatched);
-
-    // Non-statevector resolutions never promote, whatever the count.
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(1), large, 100),
-              EvalBackend::AnalyticP1);
-    EXPECT_EQ(resolveBackend(EvalSpec::ideal(2), large, 100),
-              EvalBackend::Lightcone);
-
-    // A pinned backend is a caller decision; the point count cannot
-    // override it.
-    EvalSpec pinned = EvalSpec::ideal(2);
-    pinned.backend = EvalBackend::Statevector;
-    EXPECT_EQ(resolveBackend(pinned, small, 100),
-              EvalBackend::Statevector);
-
-    // The pinned batched backend constructs and labels itself.
-    EvalSpec batched_spec = EvalSpec::ideal(2);
-    batched_spec.backend = EvalBackend::StatevectorBatched;
-    EXPECT_EQ(makeEvaluator(small, batched_spec)->describe(),
-              "statevector_batched");
-    EXPECT_EQ(backendName(EvalBackend::StatevectorBatched),
-              std::string("statevector_batched"));
-}
-
 TEST(EvalEngine, BackendCounterNamesPrefixTheRegistryNames)
 {
     for (EvalBackend kind :
          {EvalBackend::Auto, EvalBackend::Statevector,
-          EvalBackend::StatevectorBatched, EvalBackend::AnalyticP1,
-          EvalBackend::Lightcone, EvalBackend::Trajectory})
+          EvalBackend::AnalyticP1, EvalBackend::Lightcone,
+          EvalBackend::Trajectory})
         EXPECT_EQ(backendCounterName(kind),
                   std::string("backend.") + backendName(kind));
 }
@@ -161,7 +119,7 @@ TEST(EvalEngine, BatchedJobsBitIdenticalToDirectEvaluator)
     Graph g = smallGraph();
     Rng prng(88);
     auto pts = randomParameterSets(2, 12, prng);
-    ASSERT_GE(pts.size(), kBatchedPointsThreshold);
+    ASSERT_GE(pts.size(), static_cast<std::size_t>(batched::kBatchLanes));
 
     ExactEvaluator direct(g);
     std::vector<std::vector<double>> runs;
@@ -178,6 +136,15 @@ TEST(EvalEngine, BatchedJobsBitIdenticalToDirectEvaluator)
         EXPECT_EQ(got, again);
         EXPECT_EQ(engine.stats().memoHits, pts.size());
         EXPECT_EQ(engine.stats().evaluated, pts.size());
+        // One evaluator and one memo key space whatever the job size:
+        // each point alone is a memo hit on the batch's value.
+        for (std::size_t i = 0; i < pts.size(); ++i)
+            EXPECT_EQ(engine.evaluate(g, EvalSpec::ideal(2), {pts[i]}),
+                      std::vector<double>{got[i]})
+                << "threads=" << threads << " i=" << i;
+        EXPECT_EQ(engine.stats().memoHits, 2 * pts.size());
+        EXPECT_EQ(engine.stats().evaluated, pts.size());
+        EXPECT_EQ(engine.stats().evaluatorMisses, 1u);
         runs.push_back(std::move(got));
     }
     for (std::size_t r = 1; r < runs.size(); ++r)
@@ -204,6 +171,13 @@ TEST(EvalEngine, LaneSweepsFeedTheOccupancyCounters)
     engine.evaluate(g, EvalSpec::ideal(2), randomParameterSets(2, 16, prng));
     EXPECT_EQ(profilerCount("batched.sweeps"), 2u);
     EXPECT_EQ(profilerCount("batched.points"), 16u);
+    // Lanes are the evaluator's, so a pinned statevector spec sweeps
+    // them too.
+    EvalSpec pinned = EvalSpec::ideal(2);
+    pinned.backend = EvalBackend::Statevector;
+    engine.evaluate(g, pinned, randomParameterSets(2, 16, prng));
+    EXPECT_EQ(profilerCount("batched.sweeps"), 4u);
+    EXPECT_EQ(profilerCount("batched.points"), 32u);
     obs::Profiler::global().reset();
 }
 

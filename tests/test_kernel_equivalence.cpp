@@ -21,7 +21,6 @@
 #include <span>
 
 #include "common/thread_pool.hpp"
-#include "engine/eval_spec.hpp"
 #include "graph/generators.hpp"
 #include "quantum/batched_state.hpp"
 #include "quantum/evaluator.hpp"
@@ -749,9 +748,8 @@ TEST(BatchedKernels, EvaluatorBatchRoutesThroughLanes)
     // At or above the threshold the batch sweeps through lane groups;
     // below it the per-point default runs. Both are bit-identical to
     // point-at-a-time expectation, so the switch is invisible.
-    for (std::size_t count : {kBatchedPointsThreshold - 1,
-                              kBatchedPointsThreshold,
-                              kBatchedPointsThreshold + 5}) {
+    const auto lanes = static_cast<std::size_t>(batched::kBatchLanes);
+    for (std::size_t count : {lanes - 1, lanes, lanes + 5}) {
         std::vector<QaoaParams> pts = mixedDepthPoints(prng, count, 0);
         std::vector<double> got = eval.batchExpectation(pts);
         ASSERT_EQ(got.size(), pts.size());

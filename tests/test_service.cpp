@@ -2137,21 +2137,46 @@ eventSample(const json::Value &metrics, const std::string &event)
     return -1.0;
 }
 
+/** Every redqaoa_backend_resolutions_total sample, by backend. */
+std::map<std::string, double>
+resolutionSamples(const json::Value &metrics)
+{
+    std::map<std::string, double> out;
+    for (const json::Value &family : metrics.find("families")->asArray()) {
+        if (family.find("name")->asString() !=
+            "redqaoa_backend_resolutions_total")
+            continue;
+        for (const json::Value &sample : family.find("samples")->asArray())
+            out[sample.find("labels")->find("backend")->asString()] =
+                sample.find("value")->asNumber();
+    }
+    return out;
+}
+
 TEST(ServiceMetrics, LockstepOptimizeReportsLaneOccupancy)
 {
-    // 8 restarts that each spend the 60-evaluation budget: 60 rounds,
-    // each one full lane group.
+    // A 1-point evaluate goes point by point and a 16-point one sweeps
+    // two lane groups. Then 8 restarts that each spend the
+    // 60-evaluation budget: 60 rounds, each one full lane group. Each
+    // request counts its backend once.
     obs::Profiler::global().reset();
     Rng rng(10);
     Graph g = gen::connectedGnp(10, 0.4, rng);
     ServiceServer server;
+    Rng prng(11);
+    resultOf(server.handleLine(
+        evaluateRequest(1, g, randomParameterSets(2, 1, prng))));
+    resultOf(server.handleLine(
+        evaluateRequest(2, g, randomParameterSets(2, 16, prng))));
     json::Value result =
         resultOf(server.handleLine(optimizeLine(g, 8, 7, layersSpec(2))));
     EXPECT_EQ(result.find("evaluations")->asNumber(), 480.0);
     json::Value metrics = resultOf(
         server.handleLine(R"({"id": 2, "method": "metrics"})"));
-    EXPECT_EQ(eventSample(metrics, "batched.sweeps"), 60.0);
-    EXPECT_EQ(eventSample(metrics, "batched.points"), 480.0);
+    EXPECT_EQ(resolutionSamples(metrics),
+              (std::map<std::string, double>{{"statevector", 3.0}}));
+    EXPECT_EQ(eventSample(metrics, "batched.sweeps"), 62.0);
+    EXPECT_EQ(eventSample(metrics, "batched.points"), 496.0);
     obs::Profiler::global().reset();
 }
 
