@@ -190,23 +190,9 @@ ServiceClient::connect(const ConnectOptions &opts)
     detail::ignoreSigpipe();
     Rng rng(resolveBackoffSeed(opts));
     ServiceClient client(dial(opts, rng));
-    client.schemaVersion_ = opts.schemaVersion;
     client.opts_ = opts;
-    client.canReconnect_ = true;
     client.rng_ = rng;
     return client;
-}
-
-ServiceClient
-ServiceClient::connect(int port)
-{
-    detail::ignoreSigpipe();
-    int fd = detail::connectLoopback(port);
-    if (fd < 0)
-        throw std::runtime_error(
-            "ServiceClient: cannot connect to 127.0.0.1:" +
-            std::to_string(port));
-    return ServiceClient(fd); // schemaVersion_ stays 1 (PR 5 bytes).
 }
 
 void
@@ -215,16 +201,6 @@ ServiceClient::reconnect()
     io_.reset(); // Close the dead fd before dialing a fresh one.
     io_ = std::make_unique<Io>(dial(opts_, rng_));
     ++reconnects_;
-}
-
-void
-ServiceClient::setSchemaVersion(int version)
-{
-    if (version != kSchemaVersion && version != kSchemaVersionV2)
-        throw std::runtime_error(
-            "ServiceClient: unsupported schema version " +
-            std::to_string(version));
-    schemaVersion_ = version;
 }
 
 bool
@@ -259,8 +235,8 @@ ServiceClient::callOnce(const std::string &method,
     doc["params"] = params;
     if (deadline_ms > 0.0)
         doc["deadline_ms"] = deadline_ms;
-    if (schemaVersion_ != kSchemaVersion)
-        doc["schema_version"] = schemaVersion_;
+    if (opts_.schemaVersion != kSchemaVersion)
+        doc["schema_version"] = opts_.schemaVersion;
 
     Response response = parseResponse(rawExchange(doc.dump()));
     hasLastRoute_ = response.hasRoute;
@@ -282,8 +258,7 @@ ServiceClient::call(const std::string &method, json::Value params,
 {
     using ClockMs = std::chrono::duration<double, std::milli>;
     const auto start = std::chrono::steady_clock::now();
-    const int max_retries =
-        canReconnect_ && opts_.maxRetries > 0 ? opts_.maxRetries : 0;
+    const int max_retries = opts_.maxRetries > 0 ? opts_.maxRetries : 0;
     double backoff_ms = opts_.retryBackoffInitialMs;
 
     for (int attempt = 0;; ++attempt) {
@@ -434,22 +409,6 @@ json::Value
 ServiceClient::pipeline(const PipelineRequest &req)
 {
     return call("pipeline", req.toParams(), req.deadlineMs);
-}
-
-// ---------------------------------------------------------------------
-// Deprecated wrappers
-// ---------------------------------------------------------------------
-
-std::vector<double>
-ServiceClient::evaluate(const Graph &g,
-                        const std::vector<QaoaParams> &points,
-                        json::Value spec)
-{
-    EvaluateRequest req;
-    req.graph = g;
-    req.points = points;
-    req.spec = std::move(spec);
-    return evaluate(req).values;
 }
 
 } // namespace service

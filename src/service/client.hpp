@@ -17,13 +17,12 @@
  * payloads, and hello() probes the server's capabilities (protocol
  * versions, shard count, queue/connection bounds). The raw call() /
  * rawExchange() escape hatches remain for protocol tests and methods
- * without a typed wrapper. The PR 5 call signatures survive as thin
- * deprecated wrappers for one release.
+ * without a typed wrapper.
  *
- * A client created with ConnectOptions speaks schema_version 2 by
- * default (responses carry routing metadata, exposed via lastRoute());
- * the legacy connect(port) speaks v1, preserving the old wire bytes
- * exactly. One client is one connection with requests answered in
+ * A client speaks ConnectOptions::schemaVersion: 2 by default
+ * (responses carry routing metadata, exposed via lastRoute()), or 1
+ * for the v1 wire shape, whose bytes the server still renders exactly.
+ * One client is one connection with requests answered in
  * order; it is intentionally not thread-safe (a connection is cheap —
  * concurrent callers should each hold their own, which is also what
  * the throughput bench measures).
@@ -190,12 +189,6 @@ class ServiceClient
      */
     static ServiceClient connect(const ConnectOptions &opts);
 
-    /**
-     * Legacy single-attempt connect speaking schema_version 1 — the
-     * exact PR 5 wire bytes. Throws std::runtime_error when refused.
-     */
-    static ServiceClient connect(int port);
-
     ServiceClient(ServiceClient &&) noexcept;
     ServiceClient &operator=(ServiceClient &&) noexcept;
     ServiceClient(const ServiceClient &) = delete;
@@ -246,8 +239,7 @@ class ServiceClient
     json::Value shutdown() { return call("shutdown"); }
 
     /** Protocol version stamped on outgoing requests (1 or 2). */
-    int schemaVersion() const { return schemaVersion_; }
-    void setSchemaVersion(int version);
+    int schemaVersion() const { return opts_.schemaVersion; }
 
     /**
      * Routing metadata of the most recent response (v2 servers only);
@@ -273,14 +265,6 @@ class ServiceClient
     /** Cumulative reconnects after transport failures. */
     std::uint64_t reconnects() const { return reconnects_; }
 
-    // --- Deprecated PR 5 call signatures (thin wrappers) -------------
-
-    /** evaluate: <H_c> at every point. */
-    [[deprecated("use evaluate(const EvaluateRequest &)")]]
-    std::vector<double> evaluate(const Graph &g,
-                                 const std::vector<QaoaParams> &points,
-                                 json::Value spec = json::Value());
-
   private:
     explicit ServiceClient(int fd);
 
@@ -293,12 +277,10 @@ class ServiceClient
     struct Io; //!< fd + buffered line reader.
     std::unique_ptr<Io> io_;
     std::uint64_t nextId_ = 1;
-    int schemaVersion_ = kSchemaVersion;
     bool hasLastRoute_ = false;
     RouteInfo lastRoute_;
-    ConnectOptions opts_;       //!< Valid when canReconnect_.
-    bool canReconnect_ = false; //!< connect(ConnectOptions) clients.
-    Rng rng_{1};                //!< Backoff jitter stream.
+    ConnectOptions opts_; //!< What connect() was given; reconnects reuse it.
+    Rng rng_{1};          //!< Backoff jitter stream.
     std::uint64_t retriesIssued_ = 0;
     std::uint64_t reconnects_ = 0;
 };

@@ -1,7 +1,9 @@
 #include "service/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
@@ -54,6 +56,37 @@ ServerStats::toJson() const
 }
 
 // ---------------------------------------------------------------------
+// hello
+// ---------------------------------------------------------------------
+
+json::Value
+helloDocument(const char *server, const char *topology_key,
+              std::size_t topology, const ServerOptions &opts)
+{
+    json::Value doc = json::Value::object();
+    doc["server"] = server;
+    json::Value versions = json::Value::array();
+    versions.push(json::Value(kSchemaVersion));
+    versions.push(json::Value(kSchemaVersionV2));
+    doc["schema_versions"] = std::move(versions);
+    doc[topology_key] = topology;
+    doc["queue_capacity"] = opts.queueCapacity;
+    doc["max_connections"] = opts.maxConnections;
+    doc["idle_timeout_ms"] = opts.idleTimeoutMs;
+    doc["max_line_bytes"] = kMaxLineBytes;
+    std::vector<std::string> methods = ServiceRouter::methodNames();
+    for (const char *own : {"hello", "health", "metrics", "slowlog",
+                            "shutdown"})
+        methods.push_back(own);
+    std::sort(methods.begin(), methods.end());
+    json::Value names = json::Value::array();
+    for (const std::string &name : methods)
+        names.push(json::Value(name));
+    doc["methods"] = std::move(names);
+    return doc;
+}
+
+// ---------------------------------------------------------------------
 // ServiceServer
 // ---------------------------------------------------------------------
 
@@ -62,32 +95,29 @@ ServiceServer::ServiceServer(ServerOptions opts,
     : opts_(opts),
       engines_(engines ? std::move(engines)
                        : std::make_shared<EngineShardSet>(
-                             opts.shards, opts.storeDir))
+                             opts.shards, opts.storeDir)),
+      queue_(static_cast<std::size_t>(engines_->shardCount()),
+             opts.queueCapacity, "admission queue of shard",
+             "server is shutting down")
 {
     if (opts_.queueCapacity < 1)
         throw std::invalid_argument(
             "ServiceServer: queueCapacity must be >= 1");
     opts_.shards = engines_->shardCount();
-    shards_.reserve(static_cast<std::size_t>(opts_.shards));
+    routers_.reserve(static_cast<std::size_t>(opts_.shards));
     for (int i = 0; i < opts_.shards; ++i)
-        shards_.push_back(std::make_unique<Shard>(
-            engines_->shard(static_cast<std::size_t>(i))));
-    for (std::size_t i = 0; i < shards_.size(); ++i)
-        shards_[i]->executor =
-            std::thread([this, i] { executorLoop(i); });
+        routers_.emplace_back(engines_->shard(static_cast<std::size_t>(i)));
+    queue_.start(std::vector<std::size_t>(routers_.size(), 1),
+                 [this](std::size_t) {
+                     return [this](Job &job, bool draining) {
+                         execute(job, draining);
+                     };
+                 });
 }
 
 ServiceServer::~ServiceServer()
 {
     stop();
-}
-
-ServiceRouter &
-ServiceServer::router(std::size_t shard)
-{
-    if (shard >= shards_.size())
-        throw std::out_of_range("ServiceServer: shard index out of range");
-    return shards_[shard]->router;
 }
 
 int
@@ -110,7 +140,6 @@ ServiceServer::submitLine(std::string line, ResponseCallback done)
     try {
         req = parseRequest(line);
     } catch (const ServiceError &e) {
-        std::string response;
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.received;
@@ -149,70 +178,35 @@ ServiceServer::submitLine(std::string line, ResponseCallback done)
         return;
     }
 
-    PendingRequest pending;
-    pending.arrival = Clock::now();
-    if (req.trace) {
-        // Traced request: the recorder starts ticking at admission
-        // (span offsets are relative to this moment) and rides the
-        // queue alongside the request.
-        pending.trace = std::make_shared<obs::TraceRecorder>(
-            req.traceId.empty() ? obs::mintTraceId() : req.traceId);
-    }
-    if (req.deadlineMs > 0.0) {
-        pending.hasDeadline = true;
-        pending.deadline =
-            pending.arrival +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(req.deadlineMs));
-    }
-    pending.shard = routeShard(req);
-    const int shard_index = pending.shard;
-    const int version = req.schemaVersion;
-    const RouteInfo route{shard_index, 0.0};
-    json::Value id = req.id; // Kept for immediate rejections.
-    pending.request = std::move(req);
-    pending.done = std::move(done);
-
-    std::string rejection;
+    const int shard = routeShard(req);
+    // Braced members initialize in order: the admission reads req
+    // before the request member takes it.
+    Job job{Admission(req, std::move(done)), std::move(req), shard};
+    if (job.admission.trace)
+        // Root span: parse + route + admission work.
+        job.admission.trace->addSpan({"worker.admission", "", 0,
+                                      job.admission.trace->sinceStartUs(),
+                                      1});
     {
+        // Counted before the push: once queued, an executor may run
+        // the job (a `stats` request reports itself as received).
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.received;
-        if (stopping_) {
-            ++stats_.shedShutdown;
-            ++stats_.served;
-            ++stats_.errorCount;
-            rejection = makeErrorLine(id, ServiceErrorCode::ShuttingDown,
-                                      "server is shutting down", version,
-                                      &route);
-        } else {
-            Shard &shard = *shards_[static_cast<std::size_t>(shard_index)];
-            if (shard.queue.size() >= opts_.queueCapacity) {
-                ++stats_.rejectedOverload;
-                ++stats_.served;
-                ++stats_.errorCount;
-                rejection = makeErrorLine(
-                    id, ServiceErrorCode::Overloaded,
-                    "admission queue of shard " +
-                        std::to_string(shard_index) + " full (" +
-                        std::to_string(opts_.queueCapacity) +
-                        " pending requests); retry later",
-                    version, &route);
-            } else {
-                ++stats_.admitted;
-                if (pending.trace)
-                    // Root span: parse + route + admission work.
-                    pending.trace->addSpan(
-                        {"worker.admission", "", 0,
-                         pending.trace->sinceStartUs(), 1});
-                shard.queue.push_back(std::move(pending));
-            }
-        }
     }
-    if (!rejection.empty()) {
-        pending.done(std::move(rejection));
+    const AdmitVerdict verdict =
+        queue_.push(static_cast<std::size_t>(shard), std::move(job));
+    if (verdict == AdmitVerdict::Queued)
         return;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++(verdict == AdmitVerdict::Full ? stats_.rejectedOverload
+                                         : stats_.shedShutdown);
+        ++stats_.served;
+        ++stats_.errorCount;
     }
-    shards_[static_cast<std::size_t>(shard_index)]->wake.notify_one();
+    job.admission.done(job.admission.error(
+        queue_.refusal(verdict, static_cast<std::size_t>(shard)),
+        RouteInfo{shard, 0.0}));
 }
 
 std::future<std::string>
@@ -235,95 +229,61 @@ ServiceServer::handleLine(std::string line)
 bool
 ServiceServer::shutdownRequested() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stopping_;
+    return queue_.closed();
 }
 
 bool
 ServiceServer::waitShutdownFor(double seconds)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (seconds <= 0.0)
-        return stopping_;
-    return stopped_.wait_for(
-        lock, std::chrono::duration<double>(seconds),
-        [&] { return stopping_; });
+    return queue_.waitClosedFor(seconds);
 }
 
 void
 ServiceServer::stop()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    stopped_.notify_all();
-    for (auto &shard : shards_)
-        shard->wake.notify_all();
-    // stop() races only with itself via the destructor; tests and the
-    // serve binary call it from one thread, so a joinable check keeps
-    // the second call a no-op.
-    for (auto &shard : shards_)
-        if (shard->executor.joinable())
-            shard->executor.join();
+    queue_.stop();
 }
 
 ServerStats
 ServiceServer::stats() const
 {
+    // Queue counts first: every request they include was already
+    // counted as received.
+    const AdmissionCounts counts = queue_.counts();
     std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    ServerStats out = stats_;
+    out.admitted = counts.admitted;
+    out.dequeued = counts.dequeued;
+    return out;
 }
 
-json::Value
-ServiceServer::helloResult() const
+double
+ServiceServer::uptimeSeconds() const
 {
-    json::Value doc = json::Value::object();
-    doc["server"] = "redqaoa_serve";
-    json::Value versions = json::Value::array();
-    versions.push(json::Value(kSchemaVersion));
-    versions.push(json::Value(kSchemaVersionV2));
-    doc["schema_versions"] = std::move(versions);
-    doc["shards"] = engines_->shardCount();
-    doc["queue_capacity"] = opts_.queueCapacity;
-    doc["max_connections"] = opts_.maxConnections;
-    doc["idle_timeout_ms"] = opts_.idleTimeoutMs;
-    doc["max_line_bytes"] = kMaxLineBytes;
-    std::vector<std::string> methods = ServiceRouter::methodNames();
-    methods.push_back("hello");
-    methods.push_back("health");
-    methods.push_back("metrics");
-    methods.push_back("slowlog");
-    methods.push_back("shutdown");
-    std::sort(methods.begin(), methods.end());
-    json::Value names = json::Value::array();
-    for (const std::string &name : methods)
-        names.push(json::Value(name));
-    doc["methods"] = std::move(names);
-    return doc;
+    return std::chrono::duration<double>(Clock::now() - startTime_).count();
 }
 
 json::Value
 ServiceServer::healthResult() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const AdmissionCounts counts = queue_.counts();
     json::Value doc = json::Value::object();
-    doc["status"] = stopping_ ? "stopping" : "ok";
+    doc["status"] = counts.closed ? "stopping" : "ok";
     // Process identity comes from the SAME builder the metrics result
     // uses (obs::processInfoJson), so the two key sets cannot drift.
-    json::Value process = obs::processInfoJson(
-        std::chrono::duration<double>(Clock::now() - startTime_).count(),
-        ::getpid());
+    json::Value process = obs::processInfoJson(uptimeSeconds(), ::getpid());
     for (const auto &[key, value] : process.asObject())
         doc[key] = value;
     doc["shards"] = engines_->shardCount();
     json::Value depths = json::Value::array();
-    for (const auto &shard : shards_)
-        depths.push(json::Value(shard->queue.size()));
+    for (std::size_t depth : counts.depths)
+        depths.push(json::Value(depth));
     doc["queue_depths"] = std::move(depths);
-    doc["in_flight"] =
-        static_cast<std::size_t>(stats_.admitted - completedAdmitted_);
-    doc["served"] = static_cast<std::size_t>(stats_.served);
+    doc["in_flight"] = static_cast<std::size_t>(counts.inFlight);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        doc["served"] = static_cast<std::size_t>(stats_.served);
+    }
     // The engine traffic document rides on health so the supervisor's
     // liveness probes double as stat collection (aggregateStats takes
     // per-engine locks only; engines never call back into the server).
@@ -352,20 +312,9 @@ obs::MetricsSnapshot
 ServiceServer::metricsSnapshot() const
 {
     obs::MetricsSnapshot snapshot;
-    ServerStats server;
-    std::vector<std::size_t> depths;
-    std::uint64_t in_flight = 0;
-    double uptime = 0.0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        server = stats_;
-        for (const auto &shard : shards_)
-            depths.push_back(shard->queue.size());
-        in_flight = stats_.admitted - completedAdmitted_;
-        uptime = std::chrono::duration<double>(Clock::now() - startTime_)
-                     .count();
-    }
-    obs::addProcessMetrics(snapshot, uptime, ::getpid());
+    const AdmissionCounts counts = queue_.counts();
+    const ServerStats server = stats();
+    obs::addProcessMetrics(snapshot, uptimeSeconds(), ::getpid());
 
     auto u64 = [](std::uint64_t v) { return static_cast<double>(v); };
     snapshot.counter("redqaoa_requests_received_total",
@@ -400,11 +349,12 @@ ServiceServer::metricsSnapshot() const
                          "Executed requests by method.", u64(count),
                          {{"method", method}});
     snapshot.gauge("redqaoa_in_flight",
-                   "Admitted requests not yet answered.", u64(in_flight));
-    for (std::size_t i = 0; i < depths.size(); ++i)
+                   "Admitted requests not yet answered.",
+                   u64(counts.inFlight));
+    for (std::size_t i = 0; i < counts.depths.size(); ++i)
         snapshot.gauge("redqaoa_queue_depth",
                        "Admission queue depth per shard.",
-                       static_cast<double>(depths[i]),
+                       static_cast<double>(counts.depths[i]),
                        {{"shard", std::to_string(i)}});
     snapshot.histogram("redqaoa_request_latency_seconds",
                        "Admission-to-response latency, executed requests.",
@@ -427,14 +377,8 @@ ServiceServer::metricsSnapshot() const
 json::Value
 ServiceServer::metricsResult() const
 {
-    double uptime;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        uptime = std::chrono::duration<double>(Clock::now() - startTime_)
-                     .count();
-    }
     json::Value doc = json::Value::object();
-    doc["process"] = obs::processInfoJson(uptime, ::getpid());
+    doc["process"] = obs::processInfoJson(uptimeSeconds(), ::getpid());
     doc["engine"] = engines_->aggregateStats().toJson();
     json::Value families = metricsSnapshot().toJson();
     doc["families"] = std::move(families["families"]);
@@ -448,163 +392,140 @@ ServiceServer::metricsText() const
 }
 
 void
-ServiceServer::respond(PendingRequest &pending, std::string line,
-                       bool ok, bool recordLatency)
+ServiceServer::respond(Job &job, std::string line, bool ok,
+                       bool recordLatency)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.served;
-        ++completedAdmitted_; // respond() answers admitted work only.
         if (ok)
             ++stats_.okCount;
         else
             ++stats_.errorCount;
         if (recordLatency) {
             std::chrono::duration<double> dt =
-                Clock::now() - pending.arrival;
+                Clock::now() - job.admission.arrival;
             stats_.latency.record(dt.count());
-            stats_
-                .methodShardLatency[{pending.request.method,
-                                     pending.shard}]
+            stats_.methodShardLatency[{job.request.method, job.shard}]
                 .record(dt.count());
         }
     }
-    pending.done(std::move(line));
+    queue_.markAnswered();
+    job.admission.done(std::move(line));
 }
 
 void
-ServiceServer::executorLoop(std::size_t shard_index)
+ServiceServer::execute(Job &job, bool draining)
 {
-    Shard &shard = *shards_[shard_index];
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        shard.wake.wait(
-            lock, [&] { return stopping_ || !shard.queue.empty(); });
-        if (shard.queue.empty()) {
-            if (stopping_)
-                return;
-            continue;
-        }
-        PendingRequest pending = std::move(shard.queue.front());
-        shard.queue.pop_front();
-        ++stats_.dequeued;
-        const bool draining = stopping_;
-        lock.unlock();
+    const Request &req = job.request;
+    Admission &admission = job.admission;
+    RouteInfo route;
+    route.shard = job.shard;
+    route.queueMs = std::chrono::duration<double, std::milli>(
+                        Clock::now() - admission.arrival)
+                        .count();
+    if (admission.trace)
+        // Admission -> dequeue wait (start 0 = admission; the
+        // worker.admission span's tail overlaps its head).
+        admission.trace->addSpan({"shard.queue", "worker.admission", 0,
+                                  admission.trace->sinceStartUs(), 1});
 
-        const Request &req = pending.request;
-        RouteInfo route;
-        route.shard = pending.shard;
-        route.queueMs =
-            std::chrono::duration<double, std::milli>(Clock::now() -
-                                                      pending.arrival)
-                .count();
-        if (pending.trace)
-            // Admission -> dequeue wait (start 0 = admission; the
-            // worker.admission span's tail overlaps its head).
-            pending.trace->addSpan({"shard.queue", "worker.admission", 0,
-                                    pending.trace->sinceStartUs(), 1});
-
-        if (draining) {
-            {
-                std::lock_guard<std::mutex> inner(mutex_);
-                ++stats_.shedShutdown;
-            }
-            respond(pending,
-                    makeErrorLine(req.id, ServiceErrorCode::ShuttingDown,
-                                  "server is shutting down",
-                                  req.schemaVersion, &route),
-                    false, false);
-            lock.lock();
-            continue;
-        }
-
-        if (pending.hasDeadline && Clock::now() > pending.deadline) {
-            {
-                std::lock_guard<std::mutex> inner(mutex_);
-                ++stats_.expiredDeadline;
-            }
-            // Not recorded in the latency histogram: it tracks
-            // executed requests only (see ServerStats), and a lapsed
-            // queue wait would skew the p99 operators act on.
-            respond(pending,
-                    makeErrorLine(
-                        req.id, ServiceErrorCode::DeadlineExceeded,
-                        "deadline of " + std::to_string(req.deadlineMs) +
-                            " ms expired before execution",
-                        req.schemaVersion, &route),
-                    false, false);
-            lock.lock();
-            continue;
-        }
-
+    if (draining) {
         {
-            std::lock_guard<std::mutex> inner(mutex_);
-            ++stats_.methodCounts[req.method];
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.shedShutdown;
         }
-
-        if (req.method == "shutdown") {
-            {
-                std::lock_guard<std::mutex> inner(mutex_);
-                stopping_ = true;
-            }
-            stopped_.notify_all();
-            for (auto &other : shards_)
-                other->wake.notify_all();
-            json::Value result = json::Value::object();
-            result["stopping"] = true;
-            respond(pending,
-                    makeResultLine(req.id, std::move(result),
-                                   req.schemaVersion, &route),
-                    true, true);
-            lock.lock();
-            continue; // Next iteration drains the queue, then exits.
-        }
-
-        bool ok = false;
-        json::Value result;
-        ServiceErrorCode errorCode = ServiceErrorCode::Internal;
-        std::string errorMessage;
-        {
-            // The recorder parks in TLS for the dispatch so deep
-            // stages (engine drain, store lookup, optimizer) can
-            // attribute spans; the execute StageTimer feeds both the
-            // stage histogram and the trace.
-            obs::TraceScope scope(pending.trace.get());
-            obs::StageTimer execute("worker.execute",
-                                    "worker.admission");
-            try {
-                if (req.method == "hello")
-                    result = helloResult();
-                else if (req.method == "stats")
-                    result = statsResult(req.schemaVersion);
-                else
-                    result = shard.router.dispatch(req);
-                ok = true;
-            } catch (const ServiceError &e) {
-                errorCode = e.code();
-                errorMessage = e.what();
-            } catch (const std::exception &e) {
-                errorMessage = e.what();
-            } catch (...) {
-                errorMessage = "unknown failure";
-            }
-        }
-        json::Value traceDoc;
-        const json::Value *trace_ptr = nullptr;
-        if (pending.trace) {
-            pending.trace->finish();
-            traces_.add(*pending.trace);
-            traceDoc = pending.trace->toJson();
-            trace_ptr = &traceDoc;
-        }
-        std::string line =
-            ok ? makeResultLine(req.id, std::move(result),
-                                req.schemaVersion, &route, trace_ptr)
-               : makeErrorLine(req.id, errorCode, errorMessage,
-                               req.schemaVersion, &route, trace_ptr);
-        respond(pending, std::move(line), ok, true);
-        lock.lock();
+        respond(job,
+                admission.error(
+                    queue_.refusal(AdmitVerdict::Closed,
+                                   static_cast<std::size_t>(job.shard)),
+                    route),
+                false, false);
+        return;
     }
+
+    if (admission.expired()) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++stats_.expiredDeadline;
+        }
+        // Not recorded in the latency histogram: it tracks executed
+        // requests only (see ServerStats), and a lapsed queue wait
+        // would skew the p99 operators act on.
+        respond(job,
+                admission.error(
+                    ServiceError(ServiceErrorCode::DeadlineExceeded,
+                                 "deadline of " +
+                                     std::to_string(req.deadlineMs) +
+                                     " ms expired before execution"),
+                    route),
+                false, false);
+        return;
+    }
+
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++stats_.methodCounts[req.method];
+    }
+
+    if (req.method == "shutdown") {
+        // Close without a join (this IS an executor): every executor
+        // drains what is still queued as shutting_down, then exits.
+        queue_.close();
+        json::Value result = json::Value::object();
+        result["stopping"] = true;
+        respond(job,
+                makeResultLine(req.id, std::move(result), req.schemaVersion,
+                               &route),
+                true, true);
+        return;
+    }
+
+    bool ok = false;
+    json::Value result;
+    ServiceErrorCode errorCode = ServiceErrorCode::Internal;
+    std::string errorMessage;
+    {
+        // The recorder parks in TLS for the dispatch so deep
+        // stages (engine drain, store lookup, optimizer) can
+        // attribute spans; the execute StageTimer feeds both the
+        // stage histogram and the trace.
+        obs::TraceScope scope(admission.trace.get());
+        obs::StageTimer execute("worker.execute", "worker.admission");
+        try {
+            if (req.method == "hello")
+                result = helloDocument("redqaoa_serve", "shards",
+                                       routers_.size(), opts_);
+            else if (req.method == "stats")
+                result = statsResult(req.schemaVersion);
+            else
+                result =
+                    routers_[static_cast<std::size_t>(job.shard)].dispatch(
+                        req);
+            ok = true;
+        } catch (const ServiceError &e) {
+            errorCode = e.code();
+            errorMessage = e.what();
+        } catch (const std::exception &e) {
+            errorMessage = e.what();
+        } catch (...) {
+            errorMessage = "unknown failure";
+        }
+    }
+    json::Value traceDoc;
+    const json::Value *trace_ptr = nullptr;
+    if (admission.trace) {
+        admission.trace->finish();
+        traces_.add(*admission.trace);
+        traceDoc = admission.trace->toJson();
+        trace_ptr = &traceDoc;
+    }
+    std::string line =
+        ok ? makeResultLine(req.id, std::move(result), req.schemaVersion,
+                            &route, trace_ptr)
+           : makeErrorLine(req.id, errorCode, errorMessage,
+                           req.schemaVersion, &route, trace_ptr);
+    respond(job, std::move(line), ok, true);
 }
 
 // ---------------------------------------------------------------------

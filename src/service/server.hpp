@@ -3,16 +3,18 @@
  * The request server: admission control, graph-sharded execution,
  * accounting, and the pluggable transports.
  *
- * A ServiceServer owns an EngineShardSet and one bounded admission
- * queue + executor thread PER SHARD. Admission (submitLine) is cheap
- * and non-blocking: the line is parsed, envelope errors are answered
- * immediately, the request is routed to its graph's home shard
- * (EngineShardSet::shardFor — a pure function of graph structure),
- * and a full shard queue is answered with the typed `overloaded`
- * error — the protocol's backpressure signal — instead of buffering
- * without bound. Each admitted request carries an optional deadline
- * measured from admission; a request whose deadline lapses while it
- * waits is answered `deadline_exceeded` without being executed.
+ * A ServiceServer owns an EngineShardSet and an AdmissionQueue
+ * (admission.hpp) with one bounded FIFO and one executor thread PER
+ * SHARD — the same queue redqaoa_lb's fleet front runs its lanes on.
+ * Admission (submitLine) is cheap and non-blocking: the line is
+ * parsed, envelope errors are answered immediately, the request is
+ * routed to its graph's home shard (EngineShardSet::shardFor — a pure
+ * function of graph structure), and a full shard FIFO is answered
+ * with the typed `overloaded` error — the protocol's backpressure
+ * signal — instead of buffering without bound. Each admitted request
+ * carries an optional deadline measured from admission; a request
+ * whose deadline lapses while it waits is answered
+ * `deadline_exceeded` at dequeue without being executed.
  *
  * One executor per shard, deliberately: every handler already fans
  * out over the process-wide thread pool through its EvalEngine (a
@@ -30,11 +32,12 @@
  * `hello` (capability handshake: schema versions, shard count, queue
  * bounds, connection bounds, max line length), `stats` (aggregate
  * engine counters + per-shard blocks in v2 + server traffic), and
- * `shutdown`. A fourth, `health`, is answered INLINE from submitLine
- * — before admission, never queued — so it stays a true liveness
- * probe of the process and transport even when every shard queue is
- * full: a worker that cannot answer `health` promptly is dead or
- * wedged, not busy. Its document (uptime, per-shard queue depths,
+ * `shutdown` (closes the queue; what is still queued drains as
+ * `shutting_down`). A fourth, `health`, is answered INLINE from
+ * submitLine — before admission, never queued — so it stays a true
+ * liveness probe of the process and transport even when every shard
+ * FIFO is full: a worker that cannot answer `health` promptly is dead
+ * or wedged, not busy. Its document (uptime, per-shard queue depths,
  * in-flight count) is built from the same counters the `stats` path
  * reports, so redqaoa_lb's supervisor and external probes share one
  * implementation.
@@ -61,13 +64,10 @@
 #ifndef REDQAOA_SERVICE_SERVER_HPP
 #define REDQAOA_SERVICE_SERVER_HPP
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <iosfwd>
 #include <map>
@@ -82,19 +82,12 @@
 #include "engine/engine_shard_set.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "service/admission.hpp"
 #include "service/fault_injection.hpp"
 #include "service/router.hpp"
 
 namespace redqaoa {
 namespace service {
-
-/**
- * The log-bucket latency histogram now lives in src/common/stats (one
- * implementation behind the server's traffic counters, the per-stage
- * profiler, the metrics plane, and the bench figures); the service
- * name survives for its existing call sites.
- */
-using LatencyHistogram = stats::LatencyHistogram;
 
 /** Snapshot of the server's cumulative traffic counters. */
 struct ServerStats
@@ -110,10 +103,10 @@ struct ServerStats
     std::uint64_t expiredDeadline = 0;  //!< Lapsed in the queue.
     std::uint64_t shedShutdown = 0;     //!< Answered shutting_down.
     std::map<std::string, std::uint64_t> methodCounts; //!< Executed.
-    LatencyHistogram latency; //!< Admission -> response, executed only.
+    stats::LatencyHistogram latency; //!< Admission -> response, executed.
     /** Same latency split per (method, shard) — the metrics plane
      *  exposes these as labelled redqaoa_request_latency samples. */
-    std::map<std::pair<std::string, int>, LatencyHistogram>
+    std::map<std::pair<std::string, int>, stats::LatencyHistogram>
         methodShardLatency;
 
     /**
@@ -144,13 +137,6 @@ struct ServerOptions
 };
 
 /**
- * Receives exactly one response line per submitted request. Invoked
- * from an executor thread (or inline from submitLine for immediate
- * rejections); must not block and must not call back into the server.
- */
-using ResponseCallback = std::function<void(std::string)>;
-
-/**
  * What a transport needs from whatever answers request lines: exactly
  * one response line per submitted line, plus the connection-policy
  * options. ServiceServer implements it over local engine shards;
@@ -173,6 +159,15 @@ class LineService
     /** Connection policy (maxConnections, idleTimeoutMs). */
     virtual const ServerOptions &options() const = 0;
 };
+
+/**
+ * The `hello` capability document both fronts answer, keys in wire
+ * order: {"server": @p server, "schema_versions", @p topology_key
+ * ("shards" or "workers"): @p topology, "queue_capacity",
+ * "max_connections", "idle_timeout_ms", "max_line_bytes", "methods"}.
+ */
+json::Value helloDocument(const char *server, const char *topology_key,
+                          std::size_t topology, const ServerOptions &opts);
 
 class ServiceServer : public LineService
 {
@@ -228,12 +223,6 @@ class ServiceServer : public LineService
 
     EngineShardSet &engines() { return *engines_; }
 
-    /** The router serving @p shard (tests; direct in-process calls). */
-    ServiceRouter &router(std::size_t shard = 0);
-
-    /** The `hello` capability document (also served on the wire). */
-    json::Value helloResult() const;
-
     /**
      * The `health` liveness document, built from the same counters the
      * stats path reports: {"status": "ok"|"stopping",
@@ -263,56 +252,38 @@ class ServiceServer : public LineService
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct PendingRequest
+    /** One admitted request on its way through a shard's FIFO. */
+    struct Job
     {
+        Admission admission;
         Request request;
-        ResponseCallback done;
-        Clock::time_point arrival;
-        Clock::time_point deadline;  //!< Valid when hasDeadline.
-        bool hasDeadline = false;
         int shard = 0;
-        /** Non-null for traced requests: created at admission, handed
-         *  through the queue with the request, finished at respond. */
-        std::shared_ptr<obs::TraceRecorder> trace;
     };
 
-    /** One engine shard: its router, queue, and executor thread. */
-    struct Shard
-    {
-        explicit Shard(std::shared_ptr<EvalEngine> engine)
-            : router(std::move(engine))
-        {}
-
-        ServiceRouter router;
-        std::condition_variable wake; //!< Waits on ServiceServer::mutex_.
-        std::deque<PendingRequest> queue;
-        std::thread executor;
-    };
-
-    void executorLoop(std::size_t shard_index);
-    /** Invoke @p pending.done with @p line, maintaining served counters. */
-    void respond(PendingRequest &pending, std::string line, bool ok,
-                 bool recordLatency);
+    /** Run (or, when @p draining, refuse) one dequeued job. */
+    void execute(Job &job, bool draining);
+    /** Count @p line's answer, mark the job answered, invoke done. */
+    void respond(Job &job, std::string line, bool ok, bool recordLatency);
     /** Home shard of @p req (0 when no graph can be extracted). */
     int routeShard(const Request &req) const;
     /** The `stats` result: engine aggregate (+ shards in v2) + server. */
     json::Value statsResult(int schema_version) const;
     /** Everything the metrics plane exposes, as one snapshot. */
     obs::MetricsSnapshot metricsSnapshot() const;
+    double uptimeSeconds() const;
 
     ServerOptions opts_;
     std::shared_ptr<EngineShardSet> engines_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::vector<ServiceRouter> routers_; //!< One per shard.
 
-    mutable std::mutex mutex_; //!< Guards stats_, stopping_, queues.
-    std::condition_variable stopped_;  //!< waitShutdownFor waiters.
+    mutable std::mutex mutex_; //!< Guards stats_.
+    /** Traffic counters; admitted and dequeued live in queue_. */
     ServerStats stats_;
-    /** Admitted requests answered (executed/expired/shed); the health
-     *  in-flight count is admitted minus this. */
-    std::uint64_t completedAdmitted_ = 0;
-    Clock::time_point startTime_ = Clock::now();
-    bool stopping_ = false;
+    const Clock::time_point startTime_ = Clock::now();
     obs::TraceRing traces_; //!< Completed traces + slowlog (own lock).
+    /** One FIFO and one executor per shard; last, so it is joined
+     *  before anything its executors use is destroyed. */
+    AdmissionQueue<Job> queue_;
 };
 
 /**

@@ -370,9 +370,6 @@ WorkerSupervisor::stop()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_) {
-            // Second caller: workers are already reaped below.
-        }
         stopping_ = true;
     }
     wake_.notify_all();
@@ -487,9 +484,20 @@ WorkerSupervisor::totalRestarts() const
 // WorkerFleetService
 // ---------------------------------------------------------------------
 
+void
+WorkerFleetService::Connection::close()
+{
+    if (fd >= 0)
+        ::close(fd);
+    fd = -1;
+    reader.reset();
+}
+
 WorkerFleetService::WorkerFleetService(WorkerDirectory &workers,
                                        FleetOptions opts)
-    : workers_(workers), opts_(opts)
+    : workers_(workers), opts_(opts),
+      queue_(workers.workerCount(), opts.server.queueCapacity,
+             "lb queue of worker lane", "load balancer is shutting down")
 {
     if (workers_.workerCount() < 1)
         throw std::invalid_argument(
@@ -500,15 +508,15 @@ WorkerFleetService::WorkerFleetService(WorkerDirectory &workers,
     if (opts_.replayBudget < 1)
         throw std::invalid_argument(
             "WorkerFleetService: replayBudget must be >= 1");
-    lanes_.reserve(workers_.workerCount());
+    std::vector<std::size_t> forwarders;
     for (std::size_t i = 0; i < workers_.workerCount(); ++i)
-        lanes_.push_back(std::make_unique<Lane>());
-    for (std::size_t i = 0; i < lanes_.size(); ++i) {
-        const std::size_t count = forwarderCount(i);
-        for (std::size_t k = 0; k < count; ++k)
-            lanes_[i]->forwarders.emplace_back(
-                [this, i] { forwarderLoop(i); });
-    }
+        forwarders.push_back(forwarderCount(i));
+    queue_.start(forwarders, [this](std::size_t lane) {
+        return [this, lane, conn = Connection()](Forward &f,
+                                                 bool draining) mutable {
+            forwardWithFailover(lane, conn, f, draining);
+        };
+    });
 }
 
 std::size_t
@@ -543,68 +551,45 @@ WorkerFleetService::~WorkerFleetService()
     stop();
 }
 
-json::Value
-WorkerFleetService::helloDoc() const
+double
+WorkerFleetService::uptimeSeconds() const
 {
-    json::Value doc = json::Value::object();
-    doc["server"] = "redqaoa_lb";
-    json::Value versions = json::Value::array();
-    versions.push(json::Value(kSchemaVersion));
-    versions.push(json::Value(kSchemaVersionV2));
-    doc["schema_versions"] = std::move(versions);
-    doc["workers"] = lanes_.size();
-    doc["queue_capacity"] = opts_.server.queueCapacity;
-    doc["max_connections"] = opts_.server.maxConnections;
-    doc["idle_timeout_ms"] = opts_.server.idleTimeoutMs;
-    doc["max_line_bytes"] = kMaxLineBytes;
-    std::vector<std::string> methods = ServiceRouter::methodNames();
-    methods.push_back("hello");
-    methods.push_back("health");
-    methods.push_back("metrics");
-    methods.push_back("slowlog");
-    methods.push_back("shutdown");
-    std::sort(methods.begin(), methods.end());
-    json::Value names = json::Value::array();
-    for (const std::string &name : methods)
-        names.push(json::Value(name));
-    doc["methods"] = std::move(names);
-    return doc;
+    return std::chrono::duration<double>(Clock::now() - startTime_).count();
 }
 
 json::Value
 WorkerFleetService::healthResult() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    const AdmissionCounts counts = queue_.counts();
     json::Value doc = json::Value::object();
-    doc["status"] = stopping_ ? "stopping" : "ok";
+    doc["status"] = counts.closed ? "stopping" : "ok";
     doc["role"] = "lb";
     // Same builder as the metrics result, so the key sets cannot
     // drift (see ServiceServer::healthResult).
-    json::Value process = obs::processInfoJson(
-        std::chrono::duration<double>(Clock::now() - startTime_).count(),
-        ::getpid());
+    json::Value process = obs::processInfoJson(uptimeSeconds(), ::getpid());
     for (const auto &[key, value] : process.asObject())
         doc[key] = value;
     doc["workers"] = workers_.statusJson();
     // Fleet-summed engine counters (same single-shape document the
     // workers emit), so the lb surfaces the warm-start store traffic.
     doc["engine"] = workers_.engineStats().toJson();
-    json::Value depths = json::Value::array();
-    json::Value forwarders = json::Value::array();
-    json::Value busy = json::Value::array();
-    for (const auto &lane : lanes_) {
-        depths.push(json::Value(lane->queue.size()));
-        forwarders.push(json::Value(lane->forwarders.size()));
-        busy.push(json::Value(lane->busy));
+    auto perLane = [](const std::vector<std::size_t> &values) {
+        json::Value out = json::Value::array();
+        for (std::size_t v : values)
+            out.push(json::Value(v));
+        return out;
+    };
+    doc["queue_depths"] = perLane(counts.depths);
+    doc["forwarders"] = perLane(counts.consumers);
+    doc["busy"] = perLane(counts.busy);
+    doc["in_flight"] = static_cast<std::size_t>(counts.inFlight);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        doc["served"] = static_cast<std::size_t>(served_);
+        doc["forwarded"] = static_cast<std::size_t>(forwarded_);
+        doc["replays"] = static_cast<std::size_t>(replays_);
+        doc["worker_failures"] = static_cast<std::size_t>(workerFailures_);
     }
-    doc["queue_depths"] = std::move(depths);
-    doc["forwarders"] = std::move(forwarders);
-    doc["busy"] = std::move(busy);
-    doc["in_flight"] = static_cast<std::size_t>(inFlight_);
-    doc["served"] = static_cast<std::size_t>(served_);
-    doc["forwarded"] = static_cast<std::size_t>(forwarded_);
-    doc["replays"] = static_cast<std::size_t>(replays_);
-    doc["worker_failures"] = static_cast<std::size_t>(workerFailures_);
     if (faults_ != nullptr)
         doc["faults"] = faults_->statsJson();
     return doc;
@@ -614,33 +599,21 @@ obs::MetricsSnapshot
 WorkerFleetService::metricsSnapshot() const
 {
     obs::MetricsSnapshot snapshot;
-    double uptime = 0.0;
+    const AdmissionCounts counts = queue_.counts();
     std::uint64_t received = 0;
     std::uint64_t served = 0;
     std::uint64_t forwarded = 0;
     std::uint64_t replays = 0;
     std::uint64_t worker_failures = 0;
-    std::uint64_t in_flight = 0;
-    std::vector<std::size_t> depths;
-    std::vector<std::size_t> forwarders;
-    std::vector<std::size_t> busy;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        uptime = std::chrono::duration<double>(Clock::now() - startTime_)
-                     .count();
         received = received_;
         served = served_;
         forwarded = forwarded_;
         replays = replays_;
         worker_failures = workerFailures_;
-        in_flight = inFlight_;
-        for (const auto &lane : lanes_) {
-            depths.push_back(lane->queue.size());
-            forwarders.push_back(lane->forwarders.size());
-            busy.push_back(lane->busy);
-        }
     }
-    obs::addProcessMetrics(snapshot, uptime, ::getpid());
+    obs::addProcessMetrics(snapshot, uptimeSeconds(), ::getpid());
 
     auto u64 = [](std::uint64_t v) { return static_cast<double>(v); };
     snapshot.counter("redqaoa_lb_requests_received_total",
@@ -660,20 +633,23 @@ WorkerFleetService::metricsSnapshot() const
         "Requests answered with worker_failed after exhausting replays.",
         u64(worker_failures));
     snapshot.gauge("redqaoa_in_flight",
-                   "Admitted requests not yet answered.", u64(in_flight));
-    for (std::size_t i = 0; i < depths.size(); ++i) {
+                   "Admitted requests not yet answered.",
+                   u64(counts.inFlight));
+    for (std::size_t i = 0; i < counts.depths.size(); ++i) {
         const std::string lane = std::to_string(i);
         snapshot.gauge("redqaoa_queue_depth",
                        "Forward queue depth per worker lane.",
-                       static_cast<double>(depths[i]), {{"lane", lane}});
+                       static_cast<double>(counts.depths[i]),
+                       {{"lane", lane}});
         snapshot.gauge("redqaoa_lb_lane_forwarders",
                        "Forwarder threads per worker lane (one worker "
                        "connection each).",
-                       static_cast<double>(forwarders[i]),
+                       static_cast<double>(counts.consumers[i]),
                        {{"lane", lane}});
         snapshot.gauge("redqaoa_lb_lane_busy",
                        "Forwards in flight per worker lane.",
-                       static_cast<double>(busy[i]), {{"lane", lane}});
+                       static_cast<double>(counts.busy[i]),
+                       {{"lane", lane}});
     }
     const json::Value workers = workers_.statusJson();
     double restarts = 0.0;
@@ -703,14 +679,8 @@ WorkerFleetService::metricsSnapshot() const
 json::Value
 WorkerFleetService::metricsResult() const
 {
-    double uptime;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        uptime = std::chrono::duration<double>(Clock::now() - startTime_)
-                     .count();
-    }
     json::Value doc = json::Value::object();
-    doc["process"] = obs::processInfoJson(uptime, ::getpid());
+    doc["process"] = obs::processInfoJson(uptimeSeconds(), ::getpid());
     doc["engine"] = workers_.engineStats().toJson();
     json::Value families = metricsSnapshot().toJson();
     doc["families"] = std::move(families["families"]);
@@ -744,105 +714,60 @@ WorkerFleetService::submitLine(std::string line, ResponseCallback done)
     // slowlog describe the lb, shutdown stops the lb (its workers are
     // its own business), and only data-plane methods cross the fleet.
     if (req.method == "health" || req.method == "hello" ||
-        req.method == "metrics" || req.method == "slowlog") {
+        req.method == "metrics" || req.method == "slowlog" ||
+        req.method == "shutdown") {
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++received_;
             ++served_;
         }
-        json::Value result = req.method == "health"  ? healthResult()
-                             : req.method == "hello" ? helloDoc()
-                             : req.method == "metrics"
-                                 ? metricsResult()
-                                 : slowlogResult();
-        done(makeResultLine(req.id, std::move(result),
-                            req.schemaVersion, &route));
-        return;
-    }
-    if (req.method == "shutdown") {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++received_;
-            ++served_;
-            stopping_ = true;
+        json::Value result;
+        if (req.method == "shutdown") {
+            queue_.close();
+            result = json::Value::object();
+            result["stopping"] = true;
+        } else {
+            result = req.method == "health" ? healthResult()
+                     : req.method == "hello"
+                         ? helloDocument("redqaoa_lb", "workers",
+                                         workers_.workerCount(),
+                                         opts_.server)
+                     : req.method == "metrics" ? metricsResult()
+                                               : slowlogResult();
         }
-        stopped_.notify_all();
-        for (auto &lane : lanes_)
-            lane->wake.notify_all();
-        json::Value result = json::Value::object();
-        result["stopping"] = true;
-        done(makeResultLine(req.id, std::move(result),
-                            req.schemaVersion, &route));
+        done(makeResultLine(req.id, std::move(result), req.schemaVersion,
+                            &route));
         return;
-    }
-
-    Pending pending;
-    pending.arrival = Clock::now();
-    if (req.deadlineMs > 0.0) {
-        pending.hasDeadline = true;
-        pending.deadline =
-            pending.arrival +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    req.deadlineMs));
-    }
-    pending.id = req.id;
-    pending.schemaVersion = req.schemaVersion;
-    pending.line = std::move(line);
-    pending.done = std::move(done);
-    if (req.trace) {
-        // Traced request: the lb recorder starts at admission. When
-        // the client sent `trace: true` without an id, mint one here
-        // and rewrite the forwarded line so the worker joins the SAME
-        // trace instead of minting its own.
-        const std::string trace_id =
-            req.traceId.empty() ? obs::mintTraceId() : req.traceId;
-        pending.trace = std::make_shared<obs::TraceRecorder>(trace_id);
-        if (req.traceId.empty()) {
-            json::Value doc = json::Value::parse(pending.line);
-            doc["trace"] = trace_id;
-            pending.line = doc.dump();
-        }
     }
 
     std::uint64_t hash = 0;
-    const std::size_t lane_index =
+    const std::size_t lane =
         requestRouteHash(req, hash)
-            ? static_cast<std::size_t>(hash % lanes_.size())
+            ? static_cast<std::size_t>(hash % workers_.workerCount())
             : 0; // Graph-free methods (stats, ...) home on lane 0.
+    Forward f{Admission(req, std::move(done)), std::move(line)};
+    if (req.trace && req.traceId.empty()) {
+        // The client sent `trace: true` without an id: rewrite the
+        // forwarded line with the id the lb minted, so the worker
+        // joins the SAME trace instead of minting its own.
+        json::Value doc = json::Value::parse(f.line);
+        doc["trace"] = f.admission.trace->id();
+        f.line = doc.dump();
+    }
 
-    std::string rejection;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++received_;
-        if (stopping_) {
-            ++served_;
-            rejection = makeErrorLine(
-                pending.id, ServiceErrorCode::ShuttingDown,
-                "load balancer is shutting down",
-                pending.schemaVersion, &route);
-        } else {
-            Lane &lane = *lanes_[lane_index];
-            if (lane.queue.size() >= opts_.server.queueCapacity) {
-                ++served_;
-                rejection = makeErrorLine(
-                    pending.id, ServiceErrorCode::Overloaded,
-                    "lb queue of worker lane " +
-                        std::to_string(lane_index) + " full (" +
-                        std::to_string(opts_.server.queueCapacity) +
-                        " pending requests); retry later",
-                    pending.schemaVersion, &route);
-            } else {
-                ++inFlight_;
-                lane.queue.push_back(std::move(pending));
-            }
-        }
     }
-    if (!rejection.empty()) {
-        pending.done(std::move(rejection));
+    const AdmitVerdict verdict = queue_.push(lane, std::move(f));
+    if (verdict == AdmitVerdict::Queued)
         return;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++served_;
     }
-    lanes_[lane_index]->wake.notify_one();
+    f.admission.done(
+        f.admission.error(queue_.refusal(verdict, lane), route));
 }
 
 LaneState
@@ -852,13 +777,13 @@ WorkerFleetService::ensureConnected(std::size_t index, Connection &conn,
     WorkerEndpoint ep;
     const LaneState state = workers_.endpoint(index, ep);
     if (state != LaneState::Up) {
-        dropConnection(conn);
+        conn.close();
         return state;
     }
     generation_out = ep.generation;
     if (conn.fd >= 0 && conn.generation == ep.generation)
         return LaneState::Up;
-    dropConnection(conn);
+    conn.close();
     int fd = detail::connectLoopback(ep.port, 2000);
     if (fd < 0) {
         // The endpoint claims Up but refuses: that generation is on
@@ -873,43 +798,43 @@ WorkerFleetService::ensureConnected(std::size_t index, Connection &conn,
 }
 
 void
-WorkerFleetService::dropConnection(Connection &conn)
+WorkerFleetService::answer(Forward &f, std::string line)
 {
-    if (conn.fd >= 0)
-        ::close(conn.fd);
-    conn.fd = -1;
-    conn.reader.reset();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++served_;
+    }
+    queue_.markAnswered();
+    f.admission.done(std::move(line));
 }
 
 void
 WorkerFleetService::forwardWithFailover(std::size_t index,
-                                        Connection &conn, Pending &p)
+                                        Connection &conn, Forward &f,
+                                        bool draining)
 {
     const RouteInfo route{0, 0.0};
+    const Admission &admission = f.admission;
+    auto fail = [&](ServiceError e) { answer(f, admission.error(e, route)); };
+    if (draining) {
+        fail(queue_.refusal(AdmitVerdict::Closed, index));
+        return;
+    }
+    if (admission.trace)
+        // Time from lb admission to a forwarder picking the request
+        // off its lane's FIFO.
+        admission.trace->addSpan(
+            {"lb.queue", "", 0, admission.trace->sinceStartUs(), 1});
+
     const Clock::time_point failover_deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double, std::milli>(
                                opts_.failoverTimeoutMs));
     int attempts = 0;
-
-    auto answer = [&](std::string line) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++served_;
-            --inFlight_;
-        }
-        p.done(std::move(line));
-    };
-    auto expired = [&] {
-        return p.hasDeadline && Clock::now() > p.deadline;
-    };
-
     for (;;) {
-        if (expired()) {
-            answer(makeErrorLine(
-                p.id, ServiceErrorCode::DeadlineExceeded,
-                "deadline expired before a worker answered",
-                p.schemaVersion, &route));
+        if (admission.expired()) {
+            fail(ServiceError(ServiceErrorCode::DeadlineExceeded,
+                              "deadline expired before a worker answered"));
             return;
         }
         if (attempts >= opts_.replayBudget ||
@@ -918,48 +843,36 @@ WorkerFleetService::forwardWithFailover(std::size_t index,
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++workerFailures_;
             }
-            answer(makeErrorLine(
-                p.id, ServiceErrorCode::WorkerFailed,
+            fail(ServiceError(
+                ServiceErrorCode::WorkerFailed,
                 "worker lane " + std::to_string(index) +
                     " failed mid-request and the replay budget (" +
                     std::to_string(opts_.replayBudget) +
-                    " attempts) is exhausted; safe to retry",
-                p.schemaVersion, &route));
+                    " attempts) is exhausted; safe to retry"));
             return;
         }
 
         std::uint64_t generation = 0;
-        const LaneState state =
-            ensureConnected(index, conn, generation);
+        const LaneState state = ensureConnected(index, conn, generation);
         if (state == LaneState::Failed) {
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++workerFailures_;
             }
-            answer(makeErrorLine(
-                p.id, ServiceErrorCode::WorkerFailed,
-                "worker lane " + std::to_string(index) +
-                    " is permanently failed; safe to retry elsewhere",
-                p.schemaVersion, &route));
+            fail(ServiceError(ServiceErrorCode::WorkerFailed,
+                              "worker lane " + std::to_string(index) +
+                                  " is permanently failed; safe to retry "
+                                  "elsewhere"));
             return;
         }
         if (state == LaneState::Restarting) {
             // Wait out the restart (bounded by the failover deadline
-            // checked above); stop() interrupts via stopping_.
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (stopping_) {
-                    ++served_;
-                    --inFlight_;
-                    p.done(makeErrorLine(
-                        p.id, ServiceErrorCode::ShuttingDown,
-                        "load balancer is shutting down",
-                        p.schemaVersion, &route));
-                    return;
-                }
+            // checked above); stop() interrupts by closing the queue.
+            if (queue_.closed()) {
+                fail(queue_.refusal(AdmitVerdict::Closed, index));
+                return;
             }
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(20));
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
             continue;
         }
 
@@ -971,9 +884,9 @@ WorkerFleetService::forwardWithFailover(std::size_t index,
                 ++replays_;
         }
         const std::int64_t forward_start =
-            p.trace ? p.trace->sinceStartUs() : 0;
+            admission.trace ? admission.trace->sinceStartUs() : 0;
         std::string response;
-        const bool sent = detail::writeLine(conn.fd, p.line);
+        const bool sent = detail::writeLine(conn.fd, f.line);
         const bool got =
             sent && conn.reader && conn.reader->readLine(response);
         if (!got) {
@@ -981,7 +894,7 @@ WorkerFleetService::forwardWithFailover(std::size_t index,
             // drop the connection, replay against the next
             // generation. Safe because routed methods are pure.
             workers_.reportFailure(index, generation);
-            dropConnection(conn);
+            conn.close();
             continue;
         }
 
@@ -992,123 +905,54 @@ WorkerFleetService::forwardWithFailover(std::size_t index,
             if (!parsed.ok &&
                 parsed.errorCode == ServiceErrorCode::ShuttingDown) {
                 workers_.reportFailure(index, generation);
-                dropConnection(conn);
+                conn.close();
                 continue;
             }
         } catch (...) {
             // Unparseable response line: treat as a torn frame.
             workers_.reportFailure(index, generation);
-            dropConnection(conn);
+            conn.close();
             continue;
         }
-        if (p.trace) {
+        if (admission.trace) {
             // The successful forward becomes the lb.forward span, the
             // worker's echoed trace is folded in under it (offsets
             // shifted onto the lb clock), and the response's trace
             // member is replaced with the merged document. Untraced
             // responses never reach this branch and are relayed
             // verbatim, preserving the bit-identity contract.
-            p.trace->addSpan({"lb.forward", "", forward_start,
-                              p.trace->sinceStartUs() - forward_start,
-                              1});
+            obs::TraceRecorder &trace = *admission.trace;
+            trace.addSpan({"lb.forward", "", forward_start,
+                           trace.sinceStartUs() - forward_start, 1});
             try {
                 json::Value doc = json::Value::parse(response);
                 if (const json::Value *worker_trace = doc.find("trace"))
-                    obs::mergeWorkerTrace(*p.trace, *worker_trace,
+                    obs::mergeWorkerTrace(trace, *worker_trace,
                                           forward_start);
-                p.trace->finish();
-                traces_.add(*p.trace);
-                doc["trace"] = p.trace->toJson();
+                trace.finish();
+                traces_.add(trace);
+                doc["trace"] = trace.toJson();
                 response = doc.dump();
             } catch (...) {
                 // Tracing is best-effort: a response we cannot
                 // re-render still reaches the client untouched.
             }
         }
-        answer(std::move(response));
+        answer(f, std::move(response));
         return;
     }
-}
-
-void
-WorkerFleetService::forwarderLoop(std::size_t index)
-{
-    Lane &lane = *lanes_[index];
-    Connection conn; // This forwarder's own; no other thread touches it.
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        lane.wake.wait(
-            lock, [&] { return stopping_ || !lane.queue.empty(); });
-        if (lane.queue.empty()) {
-            if (stopping_)
-                break;
-            continue;
-        }
-        Pending pending = std::move(lane.queue.front());
-        lane.queue.pop_front();
-        const bool draining = stopping_;
-        ++lane.busy;
-        lock.unlock();
-
-        if (draining) {
-            const RouteInfo route{0, 0.0};
-            {
-                std::lock_guard<std::mutex> inner(mutex_);
-                ++served_;
-                --inFlight_;
-            }
-            pending.done(makeErrorLine(
-                pending.id, ServiceErrorCode::ShuttingDown,
-                "load balancer is shutting down",
-                pending.schemaVersion, &route));
-        } else {
-            if (pending.trace)
-                // Time from lb admission to a forwarder picking the
-                // request off its lane queue.
-                pending.trace->addSpan(
-                    {"lb.queue", "", 0,
-                     pending.trace->sinceStartUs(), 1});
-            forwardWithFailover(index, conn, pending);
-        }
-        lock.lock();
-        --lane.busy;
-    }
-    lock.unlock();
-    dropConnection(conn);
-}
-
-bool
-WorkerFleetService::shutdownRequested() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stopping_;
 }
 
 bool
 WorkerFleetService::waitShutdownFor(double seconds)
 {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (seconds <= 0.0)
-        return stopping_;
-    return stopped_.wait_for(lock,
-                             std::chrono::duration<double>(seconds),
-                             [&] { return stopping_; });
+    return queue_.waitClosedFor(seconds);
 }
 
 void
 WorkerFleetService::stop()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    stopped_.notify_all();
-    for (auto &lane : lanes_)
-        lane->wake.notify_all();
-    for (auto &lane : lanes_)
-        for (std::thread &forwarder : lane->forwarders)
-            if (forwarder.joinable())
-                forwarder.join();
+    queue_.stop();
 }
 
 } // namespace service

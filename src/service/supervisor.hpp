@@ -25,14 +25,15 @@
  *    lines to the fleet: requests are routed by requestRouteHash % N
  *    (the SAME key the workers use for shard placement, so the
  *    same-graph -> same-worker -> same-shard bit-identity contract
- *    holds end to end), queued per lane (bounded; a full lane answers
- *    the typed `overloaded` bounce), and forwarded by a pool of
- *    forwarder threads per lane, each with its own worker connection
- *    and one request in flight on it. hello / health / shutdown are
- *    answered by the lb itself (graph-free methods like stats home on
- *    lane 0); everything else is forwarded verbatim and the worker's
- *    response line is relayed untouched (byte-identical to talking to
- *    the worker directly).
+ *    holds end to end) onto an AdmissionQueue (admission.hpp — the
+ *    same queue ServiceServer runs its shards on) with one bounded
+ *    FIFO per lane (a full lane answers the typed `overloaded`
+ *    bounce), drained by a pool of forwarder threads per lane, each
+ *    owning its worker connection with one request in flight on it.
+ *    hello / health / shutdown are answered by the lb itself
+ *    (graph-free methods like stats home on lane 0); everything else
+ *    is forwarded verbatim and the worker's response line is relayed
+ *    untouched (byte-identical to talking to the worker directly).
  *
  * Lane concurrency: a lane runs one forwarder per worker executor,
  * sized once at fleet start from the worker's own `hello` — its
@@ -46,8 +47,8 @@
  * worker, so even when all of them land on one shard, one executes
  * and at most `queue_capacity` wait in its admission queue, and one
  * connection slot stays free for the supervisor's health probe. The
- * lb's own lane queue (`queueCapacity`) holds the requests waiting
- * for a free forwarder.
+ * lane's FIFO (`queueCapacity`) holds the requests waiting for a free
+ * forwarder.
  *
  * Failover: when a forward attempt dies mid-flight (connection reset,
  * torn frame, worker exit) or the worker answers `shutting_down`
@@ -74,11 +75,9 @@
 #ifndef REDQAOA_SERVICE_SUPERVISOR_HPP
 #define REDQAOA_SERVICE_SUPERVISOR_HPP
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -298,10 +297,8 @@ class WorkerFleetService : public LineService
      */
     void stop();
 
-    /** True once a `shutdown` request was answered or stop() began. */
-    bool shutdownRequested() const;
-
-    /** Block until shutdownRequested(), at most @p seconds. */
+    /** Block until a `shutdown` request was answered or stop() began,
+     *  at most @p seconds. */
     bool waitShutdownFor(double seconds);
 
     /** Include @p plane's injection counters in health (may be null). */
@@ -335,73 +332,60 @@ class WorkerFleetService : public LineService
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct Pending
+    /** One admitted request waiting for (or held by) a forwarder. */
+    struct Forward
     {
-        std::string line;   //!< Raw request line, forwarded verbatim
-                            //!< (rewritten once when the lb mints a
-                            //!< trace id to propagate).
-        json::Value id;     //!< For typed error answers from the lb.
-        int schemaVersion = kSchemaVersion;
-        ResponseCallback done;
-        Clock::time_point arrival;
-        Clock::time_point deadline{}; //!< Valid when hasDeadline.
-        bool hasDeadline = false;
-        /** Non-null for traced requests: lb spans + the worker's
-         *  echoed spans merge here before the response relays. */
-        std::shared_ptr<obs::TraceRecorder> trace;
+        Admission admission;
+        std::string line; //!< Forwarded verbatim (rewritten once when
+                          //!< the lb mints a trace id to propagate).
     };
 
     /** One forwarder's worker connection, owned by that thread. */
     struct Connection
     {
+        Connection() = default;
+        Connection(const Connection &) = delete;
+        Connection &operator=(const Connection &) = delete;
+        ~Connection() { close(); }
+
+        void close();
+
         int fd = -1;
         std::uint64_t generation = 0;
         std::unique_ptr<detail::FdLineReader> reader;
     };
 
-    /** One worker lane: its queue and its forwarder pool. */
-    struct Lane
-    {
-        std::deque<Pending> queue;
-        std::condition_variable wake;
-        /** Fixed once the constructor returns. */
-        std::vector<std::thread> forwarders;
-        std::size_t busy = 0; //!< Forwards in flight (guarded by mutex_).
-    };
-
     /** Pool size for lane @p index, read from the worker's hello. */
     std::size_t forwarderCount(std::size_t index);
-    void forwarderLoop(std::size_t index);
-    /** Forward @p p to lane @p index over @p conn with failover; the
-     *  response line (or a typed lb error) is handed to p.done. */
+    /** Forward @p f to lane @p index over @p conn with failover (or,
+     *  when @p draining, refuse it); the response line (or a typed lb
+     *  error) is handed to the caller's callback. */
     void forwardWithFailover(std::size_t index, Connection &conn,
-                             Pending &p);
+                             Forward &f, bool draining);
+    /** Count @p line's answer, mark @p f answered, invoke its callback. */
+    void answer(Forward &f, std::string line);
     /** Ensure @p conn targets lane @p index's current generation;
      *  returns the state seen (Up means conn.fd is valid). */
     LaneState ensureConnected(std::size_t index, Connection &conn,
                               std::uint64_t &generation_out);
-    static void dropConnection(Connection &conn);
-    json::Value helloDoc() const;
     obs::MetricsSnapshot metricsSnapshot() const;
+    double uptimeSeconds() const;
 
     WorkerDirectory &workers_;
     FleetOptions opts_;
     const FaultPlane *faults_ = nullptr;
 
-    mutable std::mutex mutex_; //!< Guards queues, counters, stopping_.
-    std::condition_variable stopped_;
-    std::vector<std::unique_ptr<Lane>> lanes_;
-    bool stopping_ = false;
-
-    // Counters (guarded by mutex_).
+    mutable std::mutex mutex_; //!< Guards the counters below.
     std::uint64_t received_ = 0;
     std::uint64_t served_ = 0;
     std::uint64_t forwarded_ = 0;
     std::uint64_t replays_ = 0;
     std::uint64_t workerFailures_ = 0; //!< worker_failed answers.
-    std::uint64_t inFlight_ = 0;
-    Clock::time_point startTime_ = Clock::now();
+    const Clock::time_point startTime_ = Clock::now();
     obs::TraceRing traces_; //!< Merged traces + slowlog (own lock).
+    /** One FIFO per lane, forwarderCount() forwarders each; last, so
+     *  it is joined before anything the forwarders use is destroyed. */
+    AdmissionQueue<Forward> queue_;
 };
 
 } // namespace service

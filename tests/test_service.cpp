@@ -102,6 +102,26 @@ resultOf(const std::string &line)
     return response.result;
 }
 
+/** @p doc's keys in document order (JSON objects keep insertion order). */
+std::vector<std::string>
+keysOf(const json::Value &doc)
+{
+    std::vector<std::string> keys;
+    for (const auto &member : doc.asObject())
+        keys.push_back(member.first);
+    return keys;
+}
+
+/** A client speaking schema_version 1, the v1 wire shape. */
+ServiceClient
+connectV1(int port)
+{
+    service::ConnectOptions copts;
+    copts.port = port;
+    copts.schemaVersion = service::kSchemaVersion;
+    return ServiceClient::connect(copts);
+}
+
 std::string
 evaluateRequest(int id, const Graph &g,
                 const std::vector<QaoaParams> &points,
@@ -753,6 +773,48 @@ TEST(ServiceServerTest, ShutdownMethodStopsAdmission)
                   R"({"id": 2, "method": "stats"})")),
               ServiceErrorCode::ShuttingDown);
     server.stop();
+
+    // stop() drains: with a slow request executing and two queued
+    // behind it on the same shard, each queued one gets exactly one
+    // shutting_down answer (the future would throw broken_promise if
+    // its callback never ran) and no counter is left behind.
+    ServiceServer draining;
+    std::future<std::string> slow = draining.submitLine(slowRequest(1));
+    for (int i = 0; i < 5000 && draining.stats().dequeued < 1; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(draining.stats().dequeued, 1u);
+    std::vector<std::future<std::string>> queued;
+    for (int id = 2; id <= 3; ++id)
+        queued.push_back(draining.submitLine(
+            R"({"id": )" + std::to_string(id) + R"(, "method": "stats"})"));
+    draining.stop();
+    resultOf(slow.get());
+    for (std::future<std::string> &future : queued)
+        EXPECT_EQ(errorCodeOf(future.get()), ServiceErrorCode::ShuttingDown);
+    EXPECT_EQ(draining.stats().shedShutdown, 2u);
+    json::Value health = resultOf(
+        draining.handleLine(R"({"id": 4, "method": "health"})"));
+    EXPECT_EQ(health.find("in_flight")->asNumber(), 0.0);
+    for (const json::Value &depth : health.find("queue_depths")->asArray())
+        EXPECT_EQ(depth.asNumber(), 0.0);
+}
+
+TEST(ServiceServerTest, FirstStatsCountsItself)
+{
+    // A stats request is counted received and admitted before an
+    // executor can run it, and served only once answered: on a fresh
+    // server it sees itself exactly once, every time.
+    for (int round = 0; round < 50; ++round) {
+        ServiceServer server;
+        json::Value stats = resultOf(
+            server.handleLine(R"({"id": 1, "method": "stats"})"));
+        const json::Value *traffic = stats.find("server");
+        ASSERT_NE(traffic, nullptr);
+        EXPECT_EQ(traffic->find("received")->asNumber(), 1.0) << round;
+        EXPECT_EQ(traffic->find("admitted")->asNumber(), 1.0) << round;
+        EXPECT_EQ(traffic->find("dequeued")->asNumber(), 1.0) << round;
+        EXPECT_EQ(traffic->find("served")->asNumber(), 0.0) << round;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -882,8 +944,7 @@ TEST(ServiceTcp, ConcurrentClientsGetDirectEngineValues)
     std::vector<std::thread> clients;
     for (int c = 0; c < 3; ++c)
         clients.emplace_back([&, c] {
-            ServiceClient client =
-                ServiceClient::connect(listener.port());
+            ServiceClient client = connectV1(listener.port());
             service::EvaluateRequest req;
             req.graph = g;
             req.points = points;
@@ -897,7 +958,7 @@ TEST(ServiceTcp, ConcurrentClientsGetDirectEngineValues)
         EXPECT_EQ(values, want);
 
     // Typed errors cross the wire as the same taxonomy.
-    ServiceClient client = ServiceClient::connect(listener.port());
+    ServiceClient client = connectV1(listener.port());
     try {
         client.call("frobnicate");
         FAIL() << "unknown method did not throw";
@@ -919,7 +980,7 @@ TEST(ServiceTcp, OversizedRequestLineIsRefused)
 {
     ServiceServer server;
     TcpServiceListener listener(server, 0);
-    ServiceClient client = ServiceClient::connect(listener.port());
+    ServiceClient client = connectV1(listener.port());
 
     // A single line just past the 8 MiB cap can never frame: the
     // server answers once with invalid_request and drops the
@@ -967,6 +1028,11 @@ TEST(ServiceV2, HelloReportsServerCapabilities)
                             method),
                   info.methods.end())
             << "hello is missing method " << method;
+    EXPECT_EQ(keysOf(client.call("hello")),
+              (std::vector<std::string>{
+                  "server", "schema_versions", "shards", "queue_capacity",
+                  "max_connections", "idle_timeout_ms", "max_line_bytes",
+                  "methods"}));
 
     // The v2 response carried routing metadata.
     service::RouteInfo route;
@@ -1046,13 +1112,6 @@ TEST(ServiceV2, ShardCountNeverChangesResponsePayloads)
 
 TEST(ServiceV2, StatsShardsShareTheAggregateKeySet)
 {
-    auto keysOf = [](const json::Value &doc) {
-        std::vector<std::string> keys;
-        for (const auto &member : doc.asObject())
-            keys.push_back(member.first);
-        return keys;
-    };
-
     service::ServerOptions opts;
     opts.shards = 2;
     ServiceServer server(opts);
@@ -1101,7 +1160,7 @@ TEST(ServiceV2, StatsShardsShareTheAggregateKeySet)
     EXPECT_EQ(keysOf(*meta_engine), want);
 
     // A v1 client sees no shards block (v1 shape preserved).
-    ServiceClient v1 = ServiceClient::connect(listener.port());
+    ServiceClient v1 = connectV1(listener.port());
     json::Value v1_stats = v1.stats();
     EXPECT_NE(v1_stats.find("engine"), nullptr);
     EXPECT_EQ(v1_stats.find("shards"), nullptr);
@@ -1190,7 +1249,7 @@ TEST(ServiceTcp, DisconnectMidResponseDoesNotWedgeTheServer)
     }
 
     // The server still serves fresh connections afterwards...
-    ServiceClient client = ServiceClient::connect(listener.port());
+    ServiceClient client = connectV1(listener.port());
     std::vector<double> want =
         EvalEngine().evaluate(g, EvalSpec::ideal(1), points);
     EXPECT_EQ(resultOf(client.rawExchange(request))
@@ -1483,7 +1542,7 @@ TEST(ServiceRetry, ZeroMaxRetriesSurfacesRetryableErrors)
     service::FaultPlane faults("overload@1");
     ServiceServer server;
     TcpServiceListener listener(server, 0, &faults);
-    ServiceClient client = ServiceClient::connect(listener.port());
+    ServiceClient client = connectV1(listener.port());
     try {
         client.call("stats");
         FAIL() << "injected overload did not throw without a budget";
@@ -1688,6 +1747,11 @@ TEST(ServiceFleet, AnswersTheControlPlaneItself)
         submitTo(fleet, R"({"id": 1, "method": "hello"})").get());
     EXPECT_EQ(hello.find("server")->asString(), "redqaoa_lb");
     EXPECT_EQ(hello.find("workers")->asNumber(), 2.0);
+    EXPECT_EQ(keysOf(hello),
+              (std::vector<std::string>{
+                  "server", "schema_versions", "workers", "queue_capacity",
+                  "max_connections", "idle_timeout_ms", "max_line_bytes",
+                  "methods"}));
 
     json::Value health = resultOf(
         submitTo(fleet, R"({"id": 2, "method": "health"})").get());
@@ -1838,6 +1902,11 @@ TEST(ServiceFleet, StopDrainsEveryQueuedRequestWithATypedAnswer)
     for (std::future<std::string> &future : futures)
         EXPECT_EQ(errorCodeOf(future.get()),
                   ServiceErrorCode::ShuttingDown);
+    // ...and the drain leaves no counter behind.
+    json::Value health = fleet.healthResult();
+    EXPECT_EQ(health.find("in_flight")->asNumber(), 0.0);
+    EXPECT_EQ(health.find("busy")->dump(), "[0]");
+    EXPECT_EQ(health.find("queue_depths")->dump(), "[0]");
 }
 
 /** Shard a @p shards-shard worker homes request @p line on. */
