@@ -1,16 +1,18 @@
 /**
  * @file
  * Service-client tour: drives every method of a running redqaoa_serve
- * TCP endpoint through the typed C++ ServiceClient — probe the
- * server's capabilities with hello, evaluate a small landscape batch,
- * distill a graph, optimize parameters, run one full pipeline, launch
- * a miniature fleet, read the traffic counters, probe liveness with
- * health, and (optionally) ask the server to shut down.
+ * or redqaoa_lb TCP endpoint through the typed C++ ServiceClient —
+ * probe the server's capabilities with hello, evaluate a small
+ * landscape batch, distill a graph, optimize parameters, run one full
+ * pipeline, launch a miniature fleet, read the traffic counters, probe
+ * liveness with health, and (optionally) ask the server to shut down.
  *
  * Usage: ./example_service_client <port> [--shutdown]
  *
  * Start the server first:   ./redqaoa_serve --tcp --port-file port.txt
  * then:                     ./example_service_client "$(cat port.txt)"
+ * Through the lb, start ./redqaoa_lb --serve-bin ./redqaoa_serve
+ * --port-file lb.port and pass "$(cat lb.port)" instead.
  *
  * Exit codes: 0 when every call round-trips, 1 on any failure (CI's
  * service smoke job gates on this).
@@ -44,15 +46,18 @@ main(int argc, char **argv)
         copts.maxAttempts = 5; // Ride out a server still binding.
         service::ServiceClient client =
             service::ServiceClient::connect(copts);
-        std::printf("Connected to redqaoa_serve on 127.0.0.1:%d\n", port);
 
-        // 0. hello — the capability handshake.
+        // 0. hello — the capability handshake. A worker reports its
+        // shards, the lb its workers.
         service::ServerInfo info = client.hello();
-        std::printf("hello    : %s, %d shard(s), queue %zu,"
+        std::printf("Connected to %s on 127.0.0.1:%d\n",
+                    info.server.c_str(), port);
+        const bool lb = info.workers > 0;
+        std::printf("hello    : %s, %d %s, queue %zu,"
                     " max conns %zu, %zu methods\n",
-                    info.server.c_str(), info.shards,
-                    info.queueCapacity, info.maxConnections,
-                    info.methods.size());
+                    info.server.c_str(), lb ? info.workers : info.shards,
+                    lb ? "worker(s)" : "shard(s)", info.queueCapacity,
+                    info.maxConnections, info.methods.size());
 
         // A shared problem instance for every call below.
         Rng rng(2024);

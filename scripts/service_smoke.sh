@@ -20,7 +20,9 @@
 # optimize, scrapes GET /metrics (stdlib-only HTTP), validates the
 # Prometheus exposition, and renders one redqaoa_top frame. When the
 # lb binary is given, the same scrape runs against redqaoa_lb so both
-# binaries' metrics endpoints are exercised.
+# binaries' metrics endpoints are exercised, and then the example
+# client drives every method through the lb and shuts it down, which
+# must end in a clean lb exit.
 set -euo pipefail
 
 SERVE=${1:?usage: service_smoke.sh <redqaoa_serve> <example_service_client> [redqaoa_top] [redqaoa_lb]}
@@ -320,8 +322,10 @@ assert required <= seen, f"missing families: {required - seen}"
 head404, _ = http_get("/nope")
 assert "404" in head404.splitlines()[0], head404
 
-bye = call({"id": 2, "method": "shutdown", "schema_version": 2})
-assert bye["ok"], bye
+# The lb is shut down by the typed example client instead (below).
+if role != "lb":
+    bye = call({"id": 2, "method": "shutdown", "schema_version": 2})
+    assert bye["ok"], bye
 print(f"{role} metrics OK: traced optimize spans present, /metrics"
       f" serves valid exposition with {len(seen)} families")
 EOF
@@ -383,6 +387,10 @@ if [ -n "$LB" ]; then
 
     python3 "$workdir/metrics_check.py" lb "$port" "$mport"
 
+    # The typed example client round-trips every method through the
+    # lb, then shuts the lb down.
+    "$CLIENT" "$port" --shutdown
+
     server_status=0
     wait "$server_pid" || server_status=$?
     server_pid=""
@@ -391,6 +399,12 @@ if [ -n "$LB" ]; then
         cat "$workdir/lb.log" >&2
         exit 1
     fi
+    grep -q "clean shutdown" "$workdir/lb.log" || {
+        echo "lb log missing clean-shutdown marker" >&2
+        cat "$workdir/lb.log" >&2
+        exit 1
+    }
+    echo "lb OK: example client round-tripped all methods, lb shut down cleanly"
 fi
 
 if [ -n "$TOP" ]; then

@@ -11,8 +11,8 @@ namespace {
 
 /**
  * Set while the current thread executes chunks (worker or participating
- * caller); nested forRange calls then run inline instead of deadlocking
- * on the submit lock.
+ * caller, or an inline run); nested forRange calls then run inline
+ * instead of deadlocking on the submit lock.
  */
 thread_local bool t_running_chunks = false;
 
@@ -131,7 +131,13 @@ ThreadPool::forRange(
     if (n == 0)
         return;
     grain = std::max<std::size_t>(1, grain);
-    if (threads_ == 1 || n <= grain || t_running_chunks) {
+    // One chunk runs here outside any chunk scope, so parallel code
+    // inside it can still use the pool.
+    if (n <= grain) {
+        chunk(0, n);
+        return;
+    }
+    if (threads_ == 1 || t_running_chunks) {
         ChunkScope scope;
         chunk(0, n);
         return;
@@ -145,7 +151,21 @@ ThreadPool::forRange(
     job.chunkSize = std::max(grain, (n + target - 1) / target);
     job.fn = &chunk;
 
-    std::lock_guard<std::mutex> submit(submitMutex_);
+    // While another caller's job holds the pool, run chunks here one at
+    // a time instead of waiting for it, and hand what is left to the
+    // pool as soon as it is free.
+    std::unique_lock<std::mutex> submit(submitMutex_, std::defer_lock);
+    std::size_t next = 0;
+    while (!submit.try_lock()) {
+        ChunkScope scope;
+        const std::size_t begin = next * job.chunkSize;
+        chunk(begin, std::min(n, begin + job.chunkSize));
+        if (begin + job.chunkSize >= n)
+            return;
+        ++next;
+    }
+    job.nextChunk.store(next, std::memory_order_relaxed);
+
     {
         std::lock_guard<std::mutex> lock(mutex_);
         job_ = &job;

@@ -12,7 +12,11 @@
  *    fan-out, so noisy results are identical at any thread count;
  *  - with 1 thread the body runs inline on the calling thread as a
  *    single chunk, which makes the threads=1 path bit-identical to a
- *    plain serial loop.
+ *    plain serial loop;
+ *  - code that picks a reduction shape reads globalThreadCount(), never
+ *    which thread runs its chunks, because a call can run inline (a
+ *    nested call, or one that finds the pool busy with another
+ *    caller's job).
  *
  * The pool size defaults to the REDQAOA_THREADS environment variable,
  * falling back to std::thread::hardware_concurrency().
@@ -56,8 +60,15 @@ class ThreadPool
      * by @p chunk is rethrown here after the join. Nested calls from
      * inside a chunk body run inline on the current thread, so code
      * that is parallel at one level can safely call parallel code.
-     * With one thread (or n <= grain) the whole range is executed as a
-     * single inline chunk(0, n).
+     * A busy pool runs the call inline too: while another caller's job
+     * holds the pool, this call does not wait for it to end but runs
+     * its chunks on the calling thread one at a time, and hands the
+     * chunks left to the pool once that job is done. With one thread
+     * the whole range is likewise executed as a single inline
+     * chunk(0, n). A range that fits one chunk (n <= grain) runs as
+     * chunk(0, n) on the calling thread without counting as a chunk
+     * body, so parallel calls inside it may still use the pool. By the
+     * design rules above, inline and pooled runs give the same values.
      */
     void forRange(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)> &chunk,
@@ -94,7 +105,7 @@ class ThreadPool
     int threads_;
     std::vector<std::thread> workers_;
     std::mutex mutex_;              //!< Guards job_ / stop_ / inFlight.
-    std::mutex submitMutex_;        //!< Serializes concurrent forRange calls.
+    std::mutex submitMutex_;        //!< Held by the job that owns the pool.
     std::condition_variable wake_;  //!< Workers wait here for a job.
     std::condition_variable done_;  //!< Caller waits here for the join.
     Job *job_ = nullptr;

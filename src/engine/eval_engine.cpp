@@ -1,36 +1,31 @@
 #include "engine/eval_engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "obs/profiler.hpp"
-#include "quantum/batched_kernels.hpp"
 
 namespace redqaoa {
 
 namespace {
 
-/** Points per lane group: a job this large hands its points to lanes. */
-constexpr std::size_t kLanes =
-    static_cast<std::size_t>(batched::kBatchLanes);
-
 /**
- * Exact-bits encoding of one parameter point (memo keys must treat
- * 0.1 + 0.2 and 0.3 as different points, so no rounding anywhere).
+ * Append the exact-bits encoding of one parameter point to @p out: the
+ * layer count, then every gamma and beta bit pattern (memo and store
+ * keys must treat 0.1 + 0.2 and 0.3 as different points, so no
+ * rounding anywhere).
  */
-std::vector<std::uint64_t>
-paramBits(const QaoaParams &p)
+void
+appendParamBits(const QaoaParams &p, std::vector<std::uint64_t> &out)
 {
-    std::vector<std::uint64_t> bits;
-    bits.reserve(p.gamma.size() + p.beta.size() + 1);
-    bits.push_back(static_cast<std::uint64_t>(p.gamma.size()));
+    out.push_back(static_cast<std::uint64_t>(p.gamma.size()));
     for (double g : p.gamma)
-        bits.push_back(std::bit_cast<std::uint64_t>(g));
+        out.push_back(std::bit_cast<std::uint64_t>(g));
     for (double b : p.beta)
-        bits.push_back(std::bit_cast<std::uint64_t>(b));
-    return bits;
+        out.push_back(std::bit_cast<std::uint64_t>(b));
 }
 
 /** Exact-bits encoding of a whole batch (trajectory batch memo). */
@@ -39,16 +34,14 @@ batchBits(const std::vector<QaoaParams> &params)
 {
     std::vector<std::uint64_t> bits;
     bits.push_back(params.size());
-    for (const QaoaParams &p : params) {
-        auto one = paramBits(p);
-        bits.insert(bits.end(), one.begin(), one.end());
-    }
+    for (const QaoaParams &p : params)
+        appendParamBits(p, bits);
     return bits;
 }
 
 /**
- * Lane-occupancy counters of one batchExpectationInto call (occupancy
- * is points / (kBatchLanes * sweeps)); a call that went point by point
+ * Lane-occupancy counters of one batch's lane groups (occupancy is
+ * points / (kBatchLanes * sweeps)); a batch that went point by point
  * swept nothing and counts nothing.
  */
 void
@@ -86,12 +79,12 @@ EvalEngine::evaluator(const Graph &g, const EvalSpec &spec)
     EvalBackend kind = resolveBackend(spec, g);
     if (!deterministicBackend(kind))
         return makeEvaluator(g, spec, &cache_);
-    return cachedEvaluator(g, spec, kind);
+    return cachedEntry(g, spec, kind).evaluator;
 }
 
-std::shared_ptr<CutEvaluator>
-EvalEngine::cachedEvaluator(const Graph &g, const EvalSpec &spec,
-                            EvalBackend kind)
+EvalEngine::Entry &
+EvalEngine::cachedEntry(const Graph &g, const EvalSpec &spec,
+                        EvalBackend kind)
 {
     std::uint64_t gid = cache_.graphId(g);
     std::pair<std::uint64_t, std::string> key{gid,
@@ -110,7 +103,8 @@ EvalEngine::cachedEvaluator(const Graph &g, const EvalSpec &spec,
     // the cache, so discarding their instance changes nothing.
     std::shared_ptr<CutEvaluator> built = makeEvaluator(g, spec, &cache_);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = evaluators_.emplace(std::move(key), built);
+    auto [it, inserted] =
+        evaluators_.try_emplace(std::move(key), Entry{std::move(built), {}});
     (void)inserted;
     return it->second;
 }
@@ -132,7 +126,7 @@ EvalEngine::batchObjective(const Graph &g, const EvalSpec &spec)
         throw std::invalid_argument(
             std::string("EvalEngine::batchObjective: backend '") +
             backendName(kind) + "' depends on call order");
-    std::shared_ptr<CutEvaluator> ev = cachedEvaluator(g, spec, kind);
+    std::shared_ptr<CutEvaluator> ev = cachedEntry(g, spec, kind).evaluator;
     // The lane sweep needs the cut table only the exact evaluator has.
     const auto *exact = dynamic_cast<const ExactEvaluator *>(ev.get());
     return [ev, exact](std::span<const std::vector<double>> xs) {
@@ -188,25 +182,29 @@ EvalEngine::drain()
     if (jobs.empty())
         return;
 
-    /** One deterministic point pending computation. */
+    /** One point the fan-out computes, memoized after it. */
+    struct Fresh
+    {
+        PointMemo *memo;
+        std::size_t key;    //!< Offset of its bits in keyWords.
+        std::size_t words;  //!< Length of its bits.
+        std::uint32_t hash; //!< PointMemo::hash of its bits.
+        double *slot;
+    };
+    /** One deterministic point computed on its own fan-out index. */
     struct WorkItem
     {
         CutEvaluator *eval;
         const QaoaParams *params;
         double *slot;
     };
-    /**
-     * One multi-point statevector job's pending points, handed to the
-     * evaluator's lane rule as one index of the fan-out.
-     */
-    struct BatchTask
+    /** One job's lane groups and the values they sweep. */
+    struct LaneJob
     {
         const ExactEvaluator *eval;
-        std::vector<const QaoaParams *> points;
+        std::vector<LaneGroup> groups;
         std::vector<double *> slots;
-        std::vector<MemoKey> keys;
-        std::vector<double> values; //!< Filled by the fan-out.
-        std::size_t sweeps = 0;     //!< Lane groups the fan-out ran.
+        std::vector<double> values; //!< Indexed like the plan's points.
     };
     /** One job's freshly computed points, persisted after the fan-out. */
     struct StoreAppend
@@ -217,17 +215,18 @@ EvalEngine::drain()
         std::vector<std::pair<std::vector<std::uint64_t>, double *>>
             points;
     };
+    std::vector<std::uint64_t> keyWords; //!< Bits of every fresh point.
+    std::vector<Fresh> fresh;
     std::vector<WorkItem> items;
-    std::vector<MemoKey> itemKeys; //!< Memo inserts after the fan-out.
-    std::vector<std::unique_ptr<BatchTask>> batchTasks;
+    std::vector<LaneJob> laneJobs;
     std::vector<StoreAppend> storeAppends;
     /** Intra-drain duplicates: (copy destination, computed slot). */
     std::vector<std::pair<double *, const double *>> aliases;
+    /** Per memo table, the slot computing each of its fresh points. */
+    std::vector<std::pair<const PointMemo *, PointTable<double *>>>
+        firstSlots;
     std::vector<JobPtr> deterministicJobs;
     std::vector<JobPtr> trajectoryJobs;
-    /** Keeps the shared evaluators alive across the fan-out. */
-    std::vector<std::shared_ptr<CutEvaluator>> held;
-    std::map<MemoKey, double *> firstSlot;
     std::uint64_t memoHits = 0;
 
     // Classification + memo/alias/store-lookup pass ("memo" stage of
@@ -242,73 +241,75 @@ EvalEngine::drain()
             continue;
         }
         deterministicJobs.push_back(job);
-        std::shared_ptr<CutEvaluator> ev =
-            cachedEvaluator(job->graph, job->spec, kind);
-        // The lane sweep needs the cut-table access only the exact
-        // evaluator has; a foreign registration falls back to the
-        // per-point path (values are identical either way).
-        const auto *exact = dynamic_cast<const ExactEvaluator *>(ev.get());
-        std::unique_ptr<BatchTask> task;
-        if (exact && job->params.size() >= kLanes) {
-            task = std::make_unique<BatchTask>();
-            task->eval = exact;
-        }
-        std::uint64_t gid = cache_.graphId(job->graph);
-        std::string specKey = backendCacheKey(job->spec, kind);
+        Entry &entry = cachedEntry(job->graph, job->spec, kind);
         // Store key + presentation hash come before the memo lock: the
         // canonical certificate behind the key is heavy.
         ResultStore *rs = store_.get();
         const std::string storeKey =
             rs ? storeKeyFor(job->graph) : std::string();
+        const std::string specKey =
+            rs ? backendCacheKey(job->spec, kind) : std::string();
         const std::uint64_t presentation =
             rs ? graphStructureHash(job->graph) : 0;
         StoreAppend append;
+        std::vector<const QaoaParams *> points; //!< This job's fresh ones.
+        std::vector<double *> slots;
         job->results.resize(job->params.size());
-        // One lock per job, not per point: memo entries are only ever
-        // inserted (never mutated), so holding the mutex across the
-        // whole lookup loop is semantically identical and keeps a
-        // large batch from hammering the lock.
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (std::size_t i = 0; i < job->params.size(); ++i) {
-            MemoKey key{gid, specKey, paramBits(job->params[i])};
-            double *slot = &job->results[i];
-            auto hit = pointMemo_.find(key);
-            if (hit != pointMemo_.end()) {
-                *slot = hit->second;
-                ++memoHits;
-                continue;
-            }
-            auto seen = firstSlot.find(key);
-            if (seen != firstSlot.end()) {
-                // Same point twice in this drain: compute once, copy.
-                aliases.emplace_back(slot, seen->second);
-                ++memoHits;
-                continue;
-            }
-            if (rs) {
-                // RAM-memo miss: the disk tier may have the value from
-                // a previous process lifetime (same presentation only;
-                // see result_store.hpp on ULP purity). A hit enters
-                // the RAM memo so later drains stay memo-fast.
-                double warm = 0.0;
-                if (rs->lookupPoint(storeKey, specKey, presentation,
-                                    std::get<2>(key), warm)) {
-                    *slot = warm;
-                    pointMemo_.emplace(std::move(key), warm);
+        auto seen = std::find_if(
+            firstSlots.begin(), firstSlots.end(),
+            [&](const auto &t) { return t.first == &entry.memo; });
+        if (seen == firstSlots.end()) {
+            firstSlots.emplace_back(&entry.memo, PointTable<double *>());
+            seen = std::prev(firstSlots.end());
+        }
+        PointTable<double *> &firstSlot = seen->second;
+        {
+            // One lock per job, not per point: memo entries are only
+            // ever inserted (never mutated), so holding the mutex across
+            // the whole lookup loop is semantically identical and keeps
+            // a large batch from hammering the lock.
+            std::lock_guard<std::mutex> lock(mutex_);
+            for (std::size_t i = 0; i < job->params.size(); ++i) {
+                const std::size_t at = keyWords.size();
+                appendParamBits(job->params[i], keyWords);
+                const std::span<const std::uint64_t> key(
+                    keyWords.data() + at, keyWords.size() - at);
+                const std::uint32_t hash = PointMemo::hash(key);
+                double *slot = &job->results[i];
+                if (const double *hit = entry.memo.find(key, hash)) {
+                    *slot = *hit;
+                    ++memoHits;
+                    keyWords.resize(at);
                     continue;
                 }
-            }
-            auto [fit, inserted] = firstSlot.emplace(std::move(key), slot);
-            (void)inserted;
-            if (rs)
-                append.points.emplace_back(std::get<2>(fit->first), slot);
-            if (task) {
-                task->points.push_back(&job->params[i]);
-                task->slots.push_back(slot);
-                task->keys.push_back(fit->first);
-            } else {
-                items.push_back({ev.get(), &job->params[i], slot});
-                itemKeys.push_back(fit->first);
+                if (double *const *first = firstSlot.find(key, hash)) {
+                    // Same point twice in this drain: compute once, copy.
+                    aliases.emplace_back(slot, *first);
+                    ++memoHits;
+                    keyWords.resize(at);
+                    continue;
+                }
+                if (rs) {
+                    // RAM-memo miss: the disk tier may have the value
+                    // from a previous process lifetime (same presentation
+                    // only; see result_store.hpp on ULP purity). A hit
+                    // enters the RAM memo so later drains stay memo-fast.
+                    std::vector<std::uint64_t> bits(key.begin(), key.end());
+                    double warm = 0.0;
+                    if (rs->lookupPoint(storeKey, specKey, presentation,
+                                        bits, warm)) {
+                        *slot = warm;
+                        entry.memo.insert(key, hash, warm);
+                        keyWords.resize(at);
+                        continue;
+                    }
+                    append.points.emplace_back(std::move(bits), slot);
+                }
+                firstSlot.insert(key, hash, slot);
+                fresh.push_back(
+                    {&entry.memo, at, keyWords.size() - at, hash, slot});
+                points.push_back(&job->params[i]);
+                slots.push_back(slot);
             }
         }
         if (rs && !append.points.empty()) {
@@ -317,37 +318,62 @@ EvalEngine::drain()
             append.presentation = presentation;
             storeAppends.push_back(std::move(append));
         }
-        if (task && !task->points.empty())
-            batchTasks.push_back(std::move(task));
-        held.push_back(std::move(ev));
+        // The lane sweep needs the cut-table access only the exact
+        // evaluator has; a foreign registration goes point by point
+        // (values are identical either way).
+        CutEvaluator *ev = entry.evaluator.get();
+        const auto *exact = dynamic_cast<const ExactEvaluator *>(ev);
+        std::vector<LaneGroup> groups;
+        if (exact)
+            groups = exact->lanePlan(points);
+        if (groups.empty()) {
+            for (std::size_t k = 0; k < points.size(); ++k)
+                items.push_back({ev, points[k], slots[k]});
+        } else {
+            laneJobs.push_back({exact, std::move(groups), std::move(slots),
+                                std::vector<double>(points.size())});
+        }
     }
     memoStage.reset();
 
     // The cross-job fan-out: every pending point from every job in one
-    // parallelFor — scalar points first, then one index per batched
-    // job, whose lane groups fan out further on the inline nested
-    // pool. Each point is a pure function written to its own slot, so
-    // values are independent of the thread count, and a 1-thread pool
-    // runs them serially in submission order.
+    // parallelFor, scalar points first, then every lane group of a
+    // state too small for its kernels to use the pool. Each index
+    // writes its own slots with pure values, so results are independent
+    // of the thread count, and a 1-thread pool runs them serially in
+    // submission order. The groups of larger states follow one at a
+    // time on this thread, their kernels spreading each pass over the
+    // pool: as fan-out indices, every thread would hold a lane set of
+    // its own (2^n * kBatchLanes amplitudes) while its kernels ran
+    // nested, inline.
+    std::vector<std::pair<LaneJob *, const LaneGroup *>> groups;
+    std::vector<std::pair<LaneJob *, const LaneGroup *>> wideGroups;
+    for (LaneJob &lj : laneJobs) {
+        auto &dst =
+            laneSweepUsesPool(lj.eval->numQubits()) ? wideGroups : groups;
+        for (const LaneGroup &g : lj.groups)
+            dst.emplace_back(&lj, &g);
+    }
     {
         obs::StageTimer evaluate("backend.evaluate", "worker.execute");
-        parallelFor(items.size() + batchTasks.size(), [&](std::size_t i) {
+        parallelFor(items.size() + groups.size(), [&](std::size_t i) {
             if (i < items.size()) {
                 *items[i].slot =
                     items[i].eval->expectation(*items[i].params);
                 return;
             }
-            BatchTask &task = *batchTasks[i - items.size()];
-            task.values.resize(task.points.size());
-            task.sweeps =
-                task.eval->batchExpectationInto(task.points, task.values);
-            for (std::size_t k = 0; k < task.slots.size(); ++k)
-                *task.slots[k] = task.values[k];
+            const auto &[lj, group] = groups[i - items.size()];
+            lj->eval->sweepLanes(*group, lj->values);
         });
+        for (const auto &[lj, group] : wideGroups)
+            lj->eval->sweepLanes(*group, lj->values);
     }
 
-    for (const auto &task : batchTasks)
-        countLaneSweeps(task->sweeps, task->points.size());
+    for (const LaneJob &lj : laneJobs) {
+        countLaneSweeps(lj.groups.size(), lj.slots.size());
+        for (std::size_t k = 0; k < lj.slots.size(); ++k)
+            *lj.slots[k] = lj.values[k];
+    }
     for (const auto &[dst, src] : aliases)
         *dst = *src;
     // Publish the deterministic jobs before the (potentially long)
@@ -355,16 +381,11 @@ EvalEngine::drain()
     // fan-out lands.
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        stats_.evaluated += items.size();
+        stats_.evaluated += fresh.size();
         stats_.memoHits += memoHits;
-        for (std::size_t i = 0; i < items.size(); ++i)
-            pointMemo_.emplace(std::move(itemKeys[i]), *items[i].slot);
-        for (const auto &task : batchTasks) {
-            stats_.evaluated += task->points.size();
-            for (std::size_t k = 0; k < task->keys.size(); ++k)
-                pointMemo_.emplace(std::move(task->keys[k]),
-                                   task->values[k]);
-        }
+        for (const Fresh &f : fresh)
+            f.memo->insert({keyWords.data() + f.key, f.words}, f.hash,
+                           *f.slot);
         for (const JobPtr &job : deterministicJobs)
             job->ready.store(true);
     }
@@ -406,9 +427,9 @@ EvalEngine::drain()
 void
 EvalEngine::runTrajectoryJob(detail::EngineJobState &job)
 {
-    MemoKey key{cache_.graphId(job.graph),
-                backendCacheKey(job.spec, EvalBackend::Trajectory),
-                batchBits(job.params)};
+    BatchKey key{cache_.graphId(job.graph),
+                 backendCacheKey(job.spec, EvalBackend::Trajectory),
+                 batchBits(job.params)};
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.trajectoryJobs;
@@ -464,7 +485,8 @@ void
 EvalEngine::clearMemos()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    pointMemo_.clear();
+    for (auto &[key, entry] : evaluators_)
+        entry.memo.clear();
     batchMemo_.clear();
 }
 
@@ -482,6 +504,8 @@ EngineStats::toJson() const
     doc["evaluated"] = u64(evaluated);
     doc["memo_hits"] = u64(memoHits);
     doc["memo_hit_rate"] = memoHitRate();
+    doc["memo_entries"] = u64(memoEntries);
+    doc["memo_bytes"] = u64(memoBytes);
     doc["trajectory_jobs"] = u64(trajectoryJobs);
     doc["evaluator_hits"] = u64(evaluatorHits);
     doc["evaluator_misses"] = u64(evaluatorMisses);
@@ -505,6 +529,8 @@ EngineStats::operator+=(const EngineStats &rhs)
     points += rhs.points;
     evaluated += rhs.evaluated;
     memoHits += rhs.memoHits;
+    memoEntries += rhs.memoEntries;
+    memoBytes += rhs.memoBytes;
     trajectoryJobs += rhs.trajectoryJobs;
     evaluatorHits += rhs.evaluatorHits;
     evaluatorMisses += rhs.evaluatorMisses;
@@ -533,6 +559,8 @@ engineStatsFromJson(const json::Value &doc)
     out.points = u64("points");
     out.evaluated = u64("evaluated");
     out.memoHits = u64("memo_hits");
+    out.memoEntries = u64("memo_entries");
+    out.memoBytes = u64("memo_bytes");
     out.trajectoryJobs = u64("trajectory_jobs");
     out.evaluatorHits = u64("evaluator_hits");
     out.evaluatorMisses = u64("evaluator_misses");
@@ -554,6 +582,10 @@ EvalEngine::stats() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
         out = stats_;
+        for (const auto &[key, entry] : evaluators_) {
+            out.memoEntries += entry.memo.size();
+            out.memoBytes += entry.memo.bytes();
+        }
     }
     out.artifacts = cache_.stats();
     if (store_)

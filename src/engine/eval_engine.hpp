@@ -8,11 +8,17 @@
  *  - an evaluator cache for deterministic backends (one shared
  *    instance per (graph, resolved spec)),
  *  - a point memo: identical (graph, spec, params) evaluations are
- *    served from the memo instead of recomputed, and
+ *    served from the memo instead of recomputed. It is one flat
+ *    PointTable per (graph, resolved spec), kept in the evaluator
+ *    cache's entry, that stores each point's exact bits in an arena
+ *    (about 60-85 bytes per p = 2 point; stats() reports memo_entries
+ *    and memo_bytes), and
  *  - a job queue: callers submit batches of parameter points and get
- *    tickets; drain() shards every pending deterministic point from
- *    EVERY job across the global thread pool in one fan-out, instead
- *    of parallelizing only within a single batch.
+ *    tickets; drain() shards every pending deterministic point and
+ *    lane group from EVERY job across the global thread pool in one
+ *    fan-out, instead of parallelizing only within a single batch
+ *    (lane groups of states whose kernels use the pool themselves go
+ *    one at a time after it).
  *
  * Determinism contracts (pinned by tests/test_engine.cpp):
  *  - engine-routed values are bit-identical to constructing the same
@@ -28,13 +34,14 @@
  * The engine is thread-safe: pipeline-fleet scenarios running on pool
  * workers share one engine (nested parallel sections run inline), and
  * workers may submit jobs and get() their own tickets — that drain
- * runs inline on the worker. One composition is unsupported: an
- * EXTERNAL thread draining the engine while a pool fan-out that also
- * drives it is in flight. The external drain can claim a worker's
- * queued job and then block behind the pool's in-flight fan-out while
- * the worker waits on the claim — a deadlock. Keep cross-thread
- * traffic to evaluator()/objective() handles, or drain from one side
- * at a time.
+ * runs inline on the worker. Any thread may drain at any time: a
+ * get() whose job another drain claimed waits only for that drain to
+ * publish, and a drain never waits for the pool, because a fan-out
+ * that finds the pool held by another caller's job runs its chunks
+ * inline on the draining thread until the pool is free
+ * (ThreadPool::forRange). So an external drain that claims a pool
+ * worker's queued job while a pool fan-out is in flight finishes the
+ * job on its own thread and wakes the worker.
  */
 
 #ifndef REDQAOA_ENGINE_EVAL_ENGINE_HPP
@@ -54,6 +61,7 @@
 #include "engine/artifact_cache.hpp"
 #include "engine/backend_registry.hpp"
 #include "engine/eval_spec.hpp"
+#include "engine/point_table.hpp"
 #include "engine/result_store.hpp"
 #include "opt/optimizer.hpp"
 #include "quantum/evaluator.hpp"
@@ -116,6 +124,8 @@ struct EngineStats
     std::uint64_t points = 0;   //!< Parameter points across all jobs.
     std::uint64_t evaluated = 0; //!< Points actually computed (memo misses).
     std::uint64_t memoHits = 0; //!< Points served from the memo.
+    std::uint64_t memoEntries = 0; //!< Points the point memo holds.
+    std::uint64_t memoBytes = 0; //!< Point-memo arena + slot bytes.
     std::uint64_t trajectoryJobs = 0; //!< Jobs on the noisy backend.
     std::uint64_t evaluatorHits = 0; //!< evaluator() served from cache.
     std::uint64_t evaluatorMisses = 0; //!< evaluator() cache fills.
@@ -142,8 +152,9 @@ struct EngineStats
     /**
      * The shared traffic document:
      *   {jobs, jobs_drained, drains, points, evaluated, memo_hits,
-     *    memo_hit_rate, trajectory_jobs, evaluator_hits,
-     *    evaluator_misses, artifact_hits, artifact_misses, graphs,
+     *    memo_hit_rate, memo_entries, memo_bytes, trajectory_jobs,
+     *    evaluator_hits, evaluator_misses, artifact_hits,
+     *    artifact_misses, graphs,
      *    store_warm_hits, store_cold_misses, store_records,
      *    store_appends, store_recovered_drops}
      * The store_* counters are present (zero) even without an attached
@@ -212,15 +223,19 @@ class EvalEngine
      * (minus memo hits) fan out over the global pool in one shot;
      * trajectory jobs then run as whole batches in submission order.
      * Each job resolves with resolveBackend(spec, g), so a statevector
-     * job shares one evaluator, memo keys and store keys with every
-     * other statevector job on its graph, whatever its size. A job of
-     * at least batched::kBatchLanes points on an ExactEvaluator is one
-     * fan-out index that hands its pending points to the evaluator's
-     * lane rule (ExactEvaluator::batchExpectationInto); every other
-     * point is its own index. Values are byte-identical either way.
-     * Real lane sweeps here and in batchObjective() bump the profiler
-     * counters batched.sweeps (lane groups) and batched.points; the
-     * backend counters are the router's, once per request.
+     * job shares one evaluator, memo table and store keys with every
+     * other statevector job on its graph, whatever its size. A job
+     * whose pending points get a lane plan from its ExactEvaluator (at
+     * least batched::kBatchLanes of them; ExactEvaluator::lanePlan)
+     * adds one fan-out index per lane group, each writing disjoint
+     * slots of the job; every other point is its own index. The groups
+     * of a state whose kernels use the pool themselves
+     * (laneSweepUsesPool) are swept one at a time after the fan-out
+     * instead, so one lane set serves them rather than one per pool
+     * thread. Values are byte-identical either way. Real lane sweeps
+     * here and in batchObjective() bump the profiler counters
+     * batched.sweeps (lane groups) and batched.points; the backend
+     * counters are the router's, once per request.
      */
     void drain();
 
@@ -255,9 +270,11 @@ class EvalEngine
      * Caches grow monotonically with distinct traffic (one memo entry
      * per distinct point, one artifact set per distinct graph); a
      * bounded sweep fits comfortably, but a service looping over
-     * ever-fresh graphs/points should clear between phases. Drops the
-     * point and batch memos (values are pure, so later recomputation
-     * is identical); shared evaluators and artifacts stay.
+     * ever-fresh graphs/points should clear between phases. Empties
+     * every point-memo table (memo_entries and memo_bytes read 0
+     * after) and the trajectory batch memo; values are pure, so later
+     * recomputation is identical. Shared evaluators and artifacts
+     * stay.
      */
     void clearMemos();
 
@@ -267,14 +284,23 @@ class EvalEngine
     friend class EvalJobTicket;
 
     using JobPtr = std::shared_ptr<detail::EngineJobState>;
-    /** (graph id, resolved spec key, param doubles as exact bits). */
-    using MemoKey = std::tuple<std::uint64_t, std::string,
-                               std::vector<std::uint64_t>>;
+    /** (graph id, resolved spec key, whole batch as exact bits). */
+    using BatchKey = std::tuple<std::uint64_t, std::string,
+                                std::vector<std::uint64_t>>;
 
-    /** Evaluator-cache lookup/fill; requires a deterministic kind. */
-    std::shared_ptr<CutEvaluator> cachedEvaluator(const Graph &g,
-                                                  const EvalSpec &spec,
-                                                  EvalBackend kind);
+    /** One (graph id, resolved spec key): evaluator and point memo. */
+    struct Entry
+    {
+        std::shared_ptr<CutEvaluator> evaluator; //!< Set once, shared.
+        PointMemo memo; //!< Guarded by mutex_.
+    };
+
+    /**
+     * Evaluator-cache lookup/fill; requires a deterministic kind.
+     * Entries are never erased, so the reference stays valid.
+     */
+    Entry &cachedEntry(const Graph &g, const EvalSpec &spec,
+                       EvalBackend kind);
 
     /** Run one trajectory job (fresh evaluator or whole-batch memo). */
     void runTrajectoryJob(detail::EngineJobState &job);
@@ -284,12 +310,9 @@ class EvalEngine
     mutable std::mutex mutex_; //!< Queue, memo, evaluator cache, stats.
     std::condition_variable jobDone_; //!< get() waits on foreign drains.
     std::vector<JobPtr> pending_;
-    std::map<std::pair<std::uint64_t, std::string>,
-             std::shared_ptr<CutEvaluator>>
-        evaluators_;
-    std::map<MemoKey, double> pointMemo_;
+    std::map<std::pair<std::uint64_t, std::string>, Entry> evaluators_;
     /** Whole-batch memo for the trajectory backend (see drain()). */
-    std::map<MemoKey, std::shared_ptr<const std::vector<double>>>
+    std::map<BatchKey, std::shared_ptr<const std::vector<double>>>
         batchMemo_;
     std::shared_ptr<ResultStore> store_; //!< Null without --store-dir.
     std::map<std::uint64_t, std::string> storeKeys_; //!< By graph id.

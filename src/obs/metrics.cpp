@@ -257,6 +257,12 @@ addEngineStatsMetrics(MetricsSnapshot &snapshot, const EngineStats &stats,
     snapshot.counter("redqaoa_engine_memo_hits_total",
                      "Points served from the point memo.",
                      u64(stats.memoHits), labels);
+    snapshot.gauge("redqaoa_engine_memo_entries",
+                   "Points the point memo holds.",
+                   u64(stats.memoEntries), labels);
+    snapshot.gauge("redqaoa_engine_memo_bytes",
+                   "Bytes the point memo holds (key arenas and slots).",
+                   u64(stats.memoBytes), labels);
     snapshot.counter("redqaoa_engine_evaluator_cache_total",
                      "Evaluator cache traffic by outcome.",
                      u64(stats.evaluatorHits),

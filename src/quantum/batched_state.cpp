@@ -299,20 +299,9 @@ buildPhaseTablesSoA(int max_code, std::span<const double> angles,
     }
 }
 
-namespace {
-
-/** One padded sweep: up to kL distinct points sharing a layer count. */
-struct LaneGroup
-{
-    std::array<const QaoaParams *, kL> pts;
-    std::array<std::size_t, kL> outIdx;
-    int depth = 0;
-    int count = 0;
-};
-
 void
-runLaneGroup(std::span<const std::int32_t> codes, int max_code,
-             int num_qubits, const LaneGroup &group, std::span<double> out)
+sweepLaneGroup(std::span<const std::int32_t> codes, int max_code,
+               int num_qubits, const LaneGroup &group, std::span<double> out)
 {
     thread_local BatchedStateSet set;
     thread_local std::vector<double> pre, pim;
@@ -335,18 +324,15 @@ runLaneGroup(std::span<const std::int32_t> codes, int max_code,
         out[group.outIdx[static_cast<std::size_t>(l)]] = acc[l];
 }
 
-} // namespace
-
-std::size_t
-batchedCutExpectations(std::span<const std::int32_t> codes, int max_code,
-                       int num_qubits,
-                       std::span<const QaoaParams *const> points,
-                       std::span<double> out)
+bool
+laneSweepUsesPool(int num_qubits)
 {
-    assert(out.size() == points.size());
-    if (points.empty())
-        return 0;
+    return intraStateParallel(std::size_t{1} << num_qubits);
+}
 
+std::vector<LaneGroup>
+planLaneGroups(std::span<const QaoaParams *const> points)
+{
     // Lanes of one sweep must share the layer count (every lane takes
     // the same number of phase + mixer passes). Bucket points by depth
     // in first-seen order, then cut each bucket into groups of kL,
@@ -385,13 +371,19 @@ batchedCutExpectations(std::span<const std::int32_t> codes, int max_code,
             groups.push_back(g);
         }
     }
+    return groups;
+}
 
-    if (groups.size() == 1) {
-        runLaneGroup(codes, max_code, num_qubits, groups[0], out);
-        return 1;
-    }
+std::size_t
+batchedCutExpectations(std::span<const std::int32_t> codes, int max_code,
+                       int num_qubits,
+                       std::span<const QaoaParams *const> points,
+                       std::span<double> out)
+{
+    assert(out.size() == points.size());
+    const std::vector<LaneGroup> groups = planLaneGroups(points);
     parallelFor(groups.size(), [&](std::size_t gi) {
-        runLaneGroup(codes, max_code, num_qubits, groups[gi], out);
+        sweepLaneGroup(codes, max_code, num_qubits, groups[gi], out);
     });
     return groups.size();
 }

@@ -25,6 +25,7 @@
 #ifndef REDQAOA_QUANTUM_BATCHED_STATE_HPP
 #define REDQAOA_QUANTUM_BATCHED_STATE_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -113,18 +114,61 @@ void buildPhaseTablesSoA(int max_code, std::span<const double> angles,
                          std::vector<double> &pim);
 
 /**
- * Batched QAOA expectations on one graph: out[k] = <H_c> at points[k],
- * byte-identical to QaoaSimulator::expectation(*points[k]) at every
- * thread count. Points are grouped kBatchLanes at a time by equal
- * layer count (lanes of one sweep must share the pass structure);
- * partial groups are padded by replicating the last point and the
- * padded lanes discarded. Groups run through the global thread pool
- * when there is more than one; nested calls (e.g. from the engine's
- * drain fan-out) execute inline on the calling worker.
+ * One padded lane sweep: kBatchLanes point slots sharing a layer
+ * count. Lanes [0, count) hold distinct points whose values go to
+ * out[outIdx[lane]]; the remaining lanes replicate the last of them
+ * and are discarded.
+ */
+struct LaneGroup
+{
+    std::array<const QaoaParams *, batched::kBatchLanes> pts;
+    std::array<std::size_t, batched::kBatchLanes> outIdx;
+    int depth = 0;
+    int count = 0;
+};
+
+/**
+ * The lane plan of a batch: points are bucketed by layer count in
+ * first-seen order (lanes of one sweep must share the pass structure)
+ * and each bucket is cut into groups of kBatchLanes, the tail group
+ * padded. Out indices are positions in @p points, so the groups of one
+ * plan write disjoint slots.
+ */
+std::vector<LaneGroup>
+planLaneGroups(std::span<const QaoaParams *const> points);
+
+/**
+ * Sweep one group on the calling thread's lane set (a thread-local
+ * BatchedStateSet, 2^num_qubits * kBatchLanes complex amplitudes):
+ * out[group.outIdx[l]] = <H_c> at group.pts[l] for l < group.count,
+ * byte-identical to QaoaSimulator::expectation at every thread count.
+ * Groups of one plan may run concurrently on distinct threads.
  *
- * @p codes / @p max_code are the graph's CutTable fields; @p out has
- * points.size() entries. Returns the number of lane groups swept (the
- * occupancy denominator: points / (kBatchLanes * groups)).
+ * @p codes / @p max_code are the graph's CutTable fields.
+ */
+void sweepLaneGroup(std::span<const std::int32_t> codes, int max_code,
+                    int num_qubits, const LaneGroup &group,
+                    std::span<double> out);
+
+/**
+ * Whether one lane sweep on @p num_qubits qubits spreads each of its
+ * passes over the global pool by itself (the state is at or above the
+ * kernels' intra-state parallel threshold and the pool has more than
+ * one thread). Groups of such a state that run side by side each hold
+ * a lane set on their own thread while their kernels, nested, run
+ * inline; the engine's drain sweeps them one at a time instead.
+ */
+bool laneSweepUsesPool(int num_qubits);
+
+/**
+ * Batched QAOA expectations on one graph: out[k] = <H_c> at points[k]
+ * via planLaneGroups + sweepLaneGroup, the groups fanned out over the
+ * global thread pool at every state size (a nested call runs them
+ * inline on the calling thread; a lone group runs directly, so its
+ * kernels keep their intra-state parallelism).
+ *
+ * @p out has points.size() entries. Returns the number of lane groups
+ * swept (the occupancy denominator: points / (kBatchLanes * groups)).
  */
 std::size_t batchedCutExpectations(std::span<const std::int32_t> codes,
                                    int max_code, int num_qubits,

@@ -2,7 +2,6 @@
 
 #include "common/thread_pool.hpp"
 #include "quantum/batched_kernels.hpp"
-#include "quantum/batched_state.hpp"
 
 namespace redqaoa {
 
@@ -39,6 +38,23 @@ ExactEvaluator::batchExpectation(std::span<const QaoaParams> params)
     std::vector<double> out(params.size());
     batchExpectationInto(pts, out);
     return out;
+}
+
+std::vector<LaneGroup>
+ExactEvaluator::lanePlan(std::span<const QaoaParams *const> points) const
+{
+    if (points.size() < kLanes)
+        return {};
+    return planLaneGroups(points);
+}
+
+void
+ExactEvaluator::sweepLanes(const LaneGroup &group,
+                           std::span<double> out) const
+{
+    const CutTable &table = *sim_.sharedTable();
+    sweepLaneGroup(table.codes, table.maxCode, sim_.numQubits(), group,
+                   out);
 }
 
 std::size_t

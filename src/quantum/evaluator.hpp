@@ -15,6 +15,7 @@
 
 #include "graph/graph.hpp"
 #include "quantum/analytic_p1.hpp"
+#include "quantum/batched_state.hpp"
 #include "quantum/lightcone.hpp"
 #include "quantum/maxcut.hpp"
 #include "quantum/noise.hpp"
@@ -88,14 +89,32 @@ class ExactEvaluator : public CutEvaluator
 
     /**
      * THE lane rule, over non-contiguous points (the engine's drain
-     * holds points scattered across job states): at least
-     * batched::kBatchLanes points are swept through BatchedStateSet
-     * lane groups (one pass over the cut table advances kBatchLanes
-     * points); fewer go point by point on the calling thread, since
-     * a padded group would do more arithmetic than it saves. @p out
-     * has points.size() slots, byte-identical to expectation() per
-     * point. Returns the number of lane groups swept (0 below the
-     * lane count).
+     * holds points scattered across job states): the lane groups that
+     * sweep @p points (planLaneGroups; one pass over the cut table
+     * advances kBatchLanes points), or none below batched::kBatchLanes
+     * points, which go point by point since a padded group would do
+     * more arithmetic than it saves. Out indices are positions in
+     * @p points.
+     */
+    std::vector<LaneGroup>
+    lanePlan(std::span<const QaoaParams *const> points) const;
+
+    /**
+     * Sweep one group of a lanePlan into its slots of @p out,
+     * byte-identical to expectation() per point. The groups of one
+     * plan write disjoint slots, so they may run on distinct threads
+     * at once (the engine's drain fans them out as its own indices
+     * while laneSweepUsesPool is false for this state).
+     */
+    void sweepLanes(const LaneGroup &group, std::span<double> out) const;
+
+    /**
+     * The same lane rule over a whole batch: below the lane count,
+     * point by point on the calling thread; otherwise
+     * batchedCutExpectations, which fans the groups out over the
+     * global pool. @p out has points.size() slots, byte-identical to
+     * expectation() per point. Returns the number of lane groups swept
+     * (0 below the lane count).
      */
     std::size_t
     batchExpectationInto(std::span<const QaoaParams *const> points,

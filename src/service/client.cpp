@@ -340,8 +340,15 @@ ServiceClient::hello()
     for (const json::Value &v :
          resultMember(doc, "schema_versions").asArray())
         info.schemaVersions.push_back(static_cast<int>(v.asNumber()));
-    info.shards =
-        static_cast<int>(resultMember(doc, "shards").asNumber());
+    const json::Value *shards = doc.isObject() ? doc.find("shards") : nullptr;
+    const json::Value *workers =
+        doc.isObject() ? doc.find("workers") : nullptr;
+    if (shards == nullptr && workers == nullptr)
+        badResult("result without 'shards' or 'workers'");
+    if (shards != nullptr)
+        info.shards = static_cast<int>(shards->asNumber());
+    if (workers != nullptr)
+        info.workers = static_cast<int>(workers->asNumber());
     info.queueCapacity = static_cast<std::size_t>(
         resultMember(doc, "queue_capacity").asNumber());
     info.maxConnections = static_cast<std::size_t>(

@@ -92,12 +92,17 @@ struct ConnectOptions
     double retryBudgetMs = 0.0;
 };
 
-/** The server's `hello` capability document, decoded. */
+/**
+ * The server's `hello` capability document, decoded. A worker
+ * (`redqaoa_serve`) reports its engine shards; the lb (`redqaoa_lb`)
+ * reports its workers instead, and the other member keeps its default.
+ */
 struct ServerInfo
 {
     std::string server;
     std::vector<int> schemaVersions;
     int shards = 1;
+    int workers = 0;
     std::size_t queueCapacity = 0;
     std::size_t maxConnections = 0;
     double idleTimeoutMs = 0.0;

@@ -16,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -24,10 +27,12 @@
 #include "engine/engine_shard_set.hpp"
 #include "engine/eval_engine.hpp"
 #include "engine/fleet.hpp"
+#include "engine/point_table.hpp"
 #include "graph/generators.hpp"
 #include "landscape/landscape.hpp"
 #include "obs/profiler.hpp"
 #include "quantum/batched_kernels.hpp"
+#include "quantum/batched_state.hpp"
 
 namespace redqaoa {
 namespace {
@@ -416,6 +421,290 @@ TEST(EvalEngine, CrossJobShardingRunsAllPendingJobsOnDrain)
         EXPECT_EQ(va[i], da.expectation(pa[i]));
     for (std::size_t i = 0; i < pb.size(); ++i)
         EXPECT_EQ(tb.get()[i], db.expectation(pb[i]));
+}
+
+/** Lane groups a lone job of @p count same-depth points sweeps. */
+std::uint64_t
+laneGroupsFor(std::size_t count)
+{
+    return count < static_cast<std::size_t>(batched::kBatchLanes)
+               ? 0
+               : (count + batched::kBatchLanes - 1) / batched::kBatchLanes;
+}
+
+TEST(EvalEngine, DrainedLaneGroupsBitIdenticalAtEveryPoolSize)
+{
+    // Each lane group of a job is its own fan-out index; values stay
+    // bit-identical to the direct evaluator and the occupancy counters
+    // count what one job's groups sweep, whatever the pool size.
+    PoolGuard guard;
+    Graph g = smallGraph();
+    ExactEvaluator direct(g);
+    Rng prng(91);
+    for (int threads : {1, 2, 4, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (int count : {8, 9, 16, 17, 24}) {
+            auto pts = randomParameterSets(2, count, prng);
+            obs::Profiler::global().reset();
+            EvalEngine engine;
+            auto got = engine.evaluate(g, EvalSpec::ideal(2), pts);
+            for (std::size_t i = 0; i < pts.size(); ++i)
+                EXPECT_EQ(got[i], direct.expectation(pts[i]))
+                    << "threads=" << threads << " count=" << count
+                    << " i=" << i;
+            EXPECT_EQ(profilerCount("batched.sweeps"),
+                      laneGroupsFor(pts.size()))
+                << "threads=" << threads << " count=" << count;
+            EXPECT_EQ(profilerCount("batched.points"), pts.size());
+        }
+    }
+    obs::Profiler::global().reset();
+}
+
+TEST(EvalEngine, JobInterleavingDepthsSweepsOneGroupSetPerDepth)
+{
+    PoolGuard guard;
+    Graph g = smallGraph();
+    ExactEvaluator direct(g);
+    Rng prng(92);
+    auto p1 = randomParameterSets(1, 10, prng);
+    auto p2 = randomParameterSets(2, 10, prng);
+    std::vector<QaoaParams> pts;
+    for (std::size_t i = 0; i < p1.size(); ++i) {
+        pts.push_back(p1[i]);
+        pts.push_back(p2[i]);
+    }
+    for (int threads : {1, 2, 4, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        obs::Profiler::global().reset();
+        EvalEngine engine;
+        auto got = engine.evaluate(g, EvalSpec::ideal(2), pts);
+        for (std::size_t i = 0; i < pts.size(); ++i)
+            EXPECT_EQ(got[i], direct.expectation(pts[i]))
+                << "threads=" << threads << " i=" << i;
+        // 10 points of each depth: two groups per depth.
+        EXPECT_EQ(profilerCount("batched.sweeps"), 4u);
+        EXPECT_EQ(profilerCount("batched.points"), pts.size());
+    }
+    obs::Profiler::global().reset();
+}
+
+TEST(EvalEngine, OneDrainMixesScalarPointsAndLaneGroupsOfTwoJobs)
+{
+    PoolGuard guard;
+    Graph a = smallGraph(11);
+    Graph b = smallGraph(12);
+    Graph large = largeGraph();
+    ExactEvaluator da(a), db(b);
+    AnalyticEvaluator dl(large);
+    Rng prng(93);
+    auto few = randomParameterSets(2, 5, prng);    // scalar points
+    auto wide = randomParameterSets(2, 17, prng);  // three groups
+    auto eight = randomParameterSets(2, 8, prng);  // one group
+    auto analytic = randomParameterSets(1, 9, prng); // no lanes
+    for (int threads : {1, 2, 4, 8}) {
+        ThreadPool::setGlobalThreads(threads);
+        obs::Profiler::global().reset();
+        EvalEngine engine;
+        EvalJobTicket tf = engine.submit(a, EvalSpec::ideal(2), few);
+        EvalJobTicket tw = engine.submit(a, EvalSpec::ideal(2), wide);
+        EvalJobTicket te = engine.submit(b, EvalSpec::ideal(2), eight);
+        EvalJobTicket tl =
+            engine.submit(large, EvalSpec::ideal(1), analytic);
+        engine.drain();
+        EXPECT_EQ(engine.stats().drains, 1u);
+        ASSERT_TRUE(tf.ready() && tw.ready() && te.ready() && tl.ready());
+        for (std::size_t i = 0; i < few.size(); ++i)
+            EXPECT_EQ(tf.get()[i], da.expectation(few[i]));
+        for (std::size_t i = 0; i < wide.size(); ++i)
+            EXPECT_EQ(tw.get()[i], da.expectation(wide[i]));
+        for (std::size_t i = 0; i < eight.size(); ++i)
+            EXPECT_EQ(te.get()[i], db.expectation(eight[i]));
+        for (std::size_t i = 0; i < analytic.size(); ++i)
+            EXPECT_EQ(tl.get()[i], dl.expectation(analytic[i]));
+        EXPECT_EQ(profilerCount("batched.sweeps"), 4u)
+            << "threads=" << threads;
+        EXPECT_EQ(profilerCount("batched.points"), 25u);
+    }
+    obs::Profiler::global().reset();
+}
+
+TEST(EvalEngine, WideStateLaneGroupsSweepInTurnBitIdentical)
+{
+    // At 2^14 amplitudes the lane kernels spread each pass over a pool
+    // of two or more threads themselves, so the drain sweeps such a
+    // job's groups one at a time after the fan-out instead of making
+    // them fan-out indices. Values and occupancy counters are those of
+    // every other lane sweep, next to a narrow job fanned out as usual.
+    PoolGuard guard;
+    Rng grng(97);
+    Graph wide = gen::connectedGnp(14, 0.3, grng);
+    Graph narrow = smallGraph();
+    ExactEvaluator dw(wide), dn(narrow);
+    Rng prng(98);
+    auto pw = randomParameterSets(2, 17, prng); // three groups
+    auto pn = randomParameterSets(2, 9, prng);  // two groups
+    for (int threads : {1, 2, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        EXPECT_EQ(laneSweepUsesPool(14), threads > 1);
+        EXPECT_FALSE(laneSweepUsesPool(13));
+        obs::Profiler::global().reset();
+        EvalEngine engine;
+        EvalJobTicket tw = engine.submit(wide, EvalSpec::ideal(2), pw);
+        EvalJobTicket tn = engine.submit(narrow, EvalSpec::ideal(2), pn);
+        engine.drain();
+        ASSERT_TRUE(tw.ready() && tn.ready());
+        for (std::size_t i = 0; i < pw.size(); ++i)
+            EXPECT_EQ(tw.get()[i], dw.expectation(pw[i]))
+                << "threads=" << threads << " i=" << i;
+        for (std::size_t i = 0; i < pn.size(); ++i)
+            EXPECT_EQ(tn.get()[i], dn.expectation(pn[i]))
+                << "threads=" << threads << " i=" << i;
+        EXPECT_EQ(profilerCount("batched.sweeps"), 5u);
+        EXPECT_EQ(profilerCount("batched.points"), 26u);
+    }
+    obs::Profiler::global().reset();
+}
+
+TEST(EvalEngine, MemoKeysAreExactBits)
+{
+    // +0.0 / -0.0 and 0.1 + 0.2 / 0.3 are different points: each is
+    // computed, and each value is its own direct evaluation.
+    Graph g = smallGraph();
+    ExactEvaluator direct(g);
+    std::vector<QaoaParams> pts = {
+        QaoaParams({0.0}, {0.4}), QaoaParams({-0.0}, {0.4}),
+        QaoaParams({0.1 + 0.2}, {0.4}), QaoaParams({0.3}, {0.4})};
+    EvalEngine engine;
+    for (const QaoaParams &p : pts)
+        EXPECT_EQ(engine.evaluate(g, EvalSpec::ideal(1), {p}),
+                  std::vector<double>{direct.expectation(p)});
+    EXPECT_EQ(engine.stats().evaluated, pts.size());
+    EXPECT_EQ(engine.stats().memoHits, 0u);
+    EXPECT_EQ(engine.stats().memoEntries, pts.size());
+}
+
+TEST(EvalEngine, SameBitsUnderTwoGraphsOrTwoSpecsAreDistinct)
+{
+    Graph a = smallGraph(13);
+    Graph b = smallGraph(14);
+    QaoaParams p({0.6}, {0.25});
+    EvalSpec analytic = EvalSpec::ideal(1);
+    analytic.backend = EvalBackend::AnalyticP1;
+    EvalEngine engine;
+    EXPECT_EQ(engine.evaluate(a, EvalSpec::ideal(1), {p})[0],
+              ExactEvaluator(a).expectation(p));
+    EXPECT_EQ(engine.evaluate(b, EvalSpec::ideal(1), {p})[0],
+              ExactEvaluator(b).expectation(p));
+    EXPECT_EQ(engine.evaluate(a, analytic, {p})[0],
+              AnalyticEvaluator(a).expectation(p));
+    EXPECT_EQ(engine.stats().evaluated, 3u);
+    EXPECT_EQ(engine.stats().memoHits, 0u);
+    // Each is now a hit under its own (graph, spec) only.
+    engine.evaluate(a, EvalSpec::ideal(1), {p});
+    engine.evaluate(b, EvalSpec::ideal(1), {p});
+    engine.evaluate(a, analytic, {p});
+    EXPECT_EQ(engine.stats().evaluated, 3u);
+    EXPECT_EQ(engine.stats().memoHits, 3u);
+}
+
+TEST(EvalEngine, ClearMemosEmptiesTheMemoCounters)
+{
+    Graph g = smallGraph();
+    Rng prng(94);
+    auto pts = randomParameterSets(2, 12, prng);
+    EvalEngine engine;
+    auto first = engine.evaluate(g, EvalSpec::ideal(2), pts);
+    EXPECT_EQ(engine.stats().memoEntries, pts.size());
+    EXPECT_GT(engine.stats().memoBytes, 0u);
+    json::Value doc = engine.stats().toJson();
+    EXPECT_EQ(doc.find("memo_entries")->asNumber(),
+              static_cast<double>(pts.size()));
+    EXPECT_EQ(engineStatsFromJson(doc).memoBytes,
+              engine.stats().memoBytes);
+    engine.clearMemos();
+    EXPECT_EQ(engine.stats().memoEntries, 0u);
+    EXPECT_EQ(engine.stats().memoBytes, 0u);
+    // Recomputed, not served, and identical.
+    EXPECT_EQ(engine.evaluate(g, EvalSpec::ideal(2), pts), first);
+    EXPECT_EQ(engine.stats().evaluated, 2 * pts.size());
+}
+
+TEST(EvalEngine, MemoHoldsAP2PointInAtMost96Bytes)
+{
+    // A 3-node graph keeps the 100k computations cheap; the memo cost
+    // per point does not depend on the graph.
+    Graph g(3);
+    g.addEdge(0, 1);
+    g.addEdge(1, 2);
+    Rng prng(95);
+    EvalEngine engine;
+    constexpr std::size_t kPoints = 100000;
+    for (std::size_t done = 0; done < kPoints; done += 1000)
+        engine.evaluate(g, EvalSpec::ideal(2),
+                        randomParameterSets(2, 1000, prng));
+    EngineStats stats = engine.stats();
+    ASSERT_EQ(stats.memoEntries, kPoints);
+    EXPECT_LE(stats.memoBytes, 96 * stats.memoEntries)
+        << static_cast<double>(stats.memoBytes) / kPoints
+        << " bytes per point";
+}
+
+TEST(PointTable, EveryHashMatchComparesTheFullKey)
+{
+    PointTable<double> table;
+    const std::uint64_t three[] = {1, 2, 3};
+    const std::uint64_t four[] = {1, 2, 3, 4};
+    const std::uint64_t other[] = {1, 2, 4};
+    const std::uint32_t h = 7; // One hash for every key: all collide.
+    EXPECT_TRUE(table.insert(three, h, 0.5));
+    // Keys of another length never match, even on a hash match.
+    EXPECT_EQ(table.find(four, h), nullptr);
+    EXPECT_EQ(table.find(std::span(three).first(2), h), nullptr);
+    EXPECT_EQ(table.find(other, h), nullptr);
+    EXPECT_TRUE(table.insert(four, h, 1.5));
+    EXPECT_TRUE(table.insert(other, h, 2.5));
+    EXPECT_FALSE(table.insert(three, h, 9.0)); // Stored values stay.
+    EXPECT_EQ(*table.find(three, h), 0.5);
+    EXPECT_EQ(*table.find(four, h), 1.5);
+    EXPECT_EQ(*table.find(other, h), 2.5);
+    EXPECT_EQ(table.size(), 3u);
+    table.clear();
+    EXPECT_EQ(table.find(three, h), nullptr);
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.bytes(), 0u);
+}
+
+TEST(PointTable, HundredThousandKeysHitAfterEveryRehash)
+{
+    PointTable<double> table;
+    constexpr std::size_t kKeys = 100000;
+    Rng rng(96);
+    std::vector<std::array<std::uint64_t, 5>> keys(kKeys);
+    for (auto &key : keys) {
+        key[0] = 2;
+        for (std::size_t w = 1; w < key.size(); ++w)
+            key[w] = std::bit_cast<std::uint64_t>(rng.uniform());
+    }
+    auto check = [&](std::size_t stored) {
+        for (std::size_t i = 0; i < stored; ++i) {
+            const double *v =
+                table.find(keys[i], PointTable<double>::hash(keys[i]));
+            ASSERT_NE(v, nullptr) << "key " << i << " of " << stored;
+            ASSERT_EQ(*v, static_cast<double>(i));
+        }
+    };
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < kKeys; ++i) {
+        ASSERT_TRUE(table.insert(keys[i], PointTable<double>::hash(keys[i]),
+                                 static_cast<double>(i)));
+        if (table.bytes() != bytes) { // A rehash or a new arena block.
+            bytes = table.bytes();
+            check(i + 1);
+        }
+    }
+    check(kKeys);
+    EXPECT_EQ(table.size(), kKeys);
 }
 
 TEST(EvalEngine, ObjectiveMatchesEvaluator)

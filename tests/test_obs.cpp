@@ -412,6 +412,8 @@ TEST(Metrics, RequiredFamilyNamesStayPinned)
         "redqaoa_engine_points_total",
         "redqaoa_engine_evaluated_total",
         "redqaoa_engine_memo_hits_total",
+        "redqaoa_engine_memo_entries",
+        "redqaoa_engine_memo_bytes",
         "redqaoa_engine_evaluator_cache_total",
         "redqaoa_engine_artifact_cache_total",
         "redqaoa_engine_graphs",

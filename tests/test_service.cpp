@@ -1768,6 +1768,35 @@ TEST(ServiceFleet, AnswersTheControlPlaneItself)
     fleet.stop();
 }
 
+TEST(ServiceFleet, TypedHelloThroughTheLbReportsItsWorkers)
+{
+    // The lb's hello names its topology `workers`, a worker's `shards`;
+    // the typed client decodes either.
+    TestWorkerDirectory workers(2);
+    service::WorkerFleetService fleet(workers);
+    TcpServiceListener listener(fleet, 0);
+
+    service::ConnectOptions copts;
+    copts.port = listener.port();
+    ServiceClient client = ServiceClient::connect(copts);
+    service::ServerInfo info = client.hello();
+    EXPECT_EQ(info.server, "redqaoa_lb");
+    EXPECT_EQ(info.workers, 2);
+    EXPECT_EQ(info.schemaVersions, (std::vector<int>{1, 2}));
+    EXPECT_FALSE(info.methods.empty());
+
+    // A worker's typed hello keeps workers at 0.
+    service::WorkerEndpoint worker;
+    ASSERT_EQ(workers.endpoint(0, worker), service::LaneState::Up);
+    copts.port = worker.port;
+    service::ServerInfo direct = ServiceClient::connect(copts).hello();
+    EXPECT_EQ(direct.server, "redqaoa_serve");
+    EXPECT_EQ(direct.workers, 0);
+    EXPECT_EQ(direct.shards, 1);
+    listener.stop();
+    fleet.stop();
+}
+
 TEST(ServiceFleet, ReplaysAcrossATornForwardByteIdentically)
 {
     Graph g = smallGraph(83);

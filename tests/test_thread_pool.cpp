@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -148,6 +151,113 @@ TEST(ThreadPool, NestedParallelForRunsInline)
     });
     for (auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, BusyPoolRunsTheCallInline)
+{
+    // While another thread's job holds the pool, a second forRange runs
+    // every index on its own calling thread and returns without waiting
+    // for that job. The holding job gives up after ~2 s, so a pool that
+    // makes the second caller wait fails this test instead of hanging.
+    ThreadPool pool(2);
+    std::atomic<int> holding{0};
+    std::atomic<bool> release{false};
+    std::atomic<bool> holderDone{false};
+    std::thread holder([&] {
+        pool.forRange(2, [&](std::size_t, std::size_t) {
+            ++holding;
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(2);
+            while (!release.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+        holderDone.store(true);
+    });
+    while (holding.load() < 2) // Both pool threads are in the job.
+        std::this_thread::yield();
+
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran(64);
+    pool.forRange(ran.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            ran[i] = std::this_thread::get_id();
+    });
+    EXPECT_FALSE(holderDone.load());
+    for (std::size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(ran[i], caller) << "i=" << i;
+    release.store(true);
+    holder.join();
+}
+
+TEST(ThreadPool, BusyPoolHandsTheRestToThePoolOnceFree)
+{
+    // A call that finds the pool busy runs its first chunk on the
+    // calling thread; once the holding job has ended, the chunks left
+    // go to the pool and so run on more than one thread. Every wait
+    // gives up after ~2 s, so a pool that keeps the whole range on the
+    // caller fails this test instead of hanging.
+    auto waitFor = [](const auto &done) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (!done() && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return done();
+    };
+    ThreadPool pool(2);
+    std::atomic<int> holding{0};
+    std::atomic<bool> release{false};
+    std::atomic<bool> holderDone{false};
+    std::thread holder([&] {
+        pool.forRange(2, [&](std::size_t, std::size_t) {
+            ++holding;
+            waitFor([&] { return release.load(); });
+        });
+        holderDone.store(true);
+    });
+    while (holding.load() < 2) // Both pool threads are in the job.
+        std::this_thread::yield();
+
+    // Eight indices on a 2-thread pool: eight one-index chunks.
+    std::vector<std::thread::id> ran(8);
+    std::atomic<int> pooled{0};
+    pool.forRange(ran.size(), [&](std::size_t begin, std::size_t end) {
+        if (begin == 0) {
+            release.store(true);
+            EXPECT_TRUE(waitFor([&] { return holderDone.load(); }));
+        } else {
+            // Hold each later chunk until two have started, so both
+            // pool threads take one.
+            ++pooled;
+            waitFor([&] { return pooled.load() >= 2; });
+        }
+        for (std::size_t i = begin; i < end; ++i)
+            ran[i] = std::this_thread::get_id();
+    });
+    holder.join();
+    std::vector<std::thread::id> later(ran.begin() + 1, ran.end());
+    std::sort(later.begin(), later.end());
+    EXPECT_GT(std::unique(later.begin(), later.end()) - later.begin(), 1);
+}
+
+TEST(ThreadPool, OneChunkRangeLeavesThePoolToItsBody)
+{
+    // A one-chunk range runs on the calling thread but not as a chunk
+    // body, so a parallel call inside it still fans out over the pool
+    // (an engine drain holding one lane group keeps its kernels'
+    // intra-state parallelism).
+    ThreadPool pool(4);
+    std::vector<std::thread::id> ran(32);
+    pool.forRange(1, [&](std::size_t, std::size_t) {
+        pool.forRange(ran.size(), [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+                ran[i] = std::this_thread::get_id();
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            }
+        });
+    });
+    std::sort(ran.begin(), ran.end());
+    EXPECT_GT(std::unique(ran.begin(), ran.end()) - ran.begin(), 1);
 }
 
 TEST(ThreadPool, SetGlobalThreadsTakesEffect)
