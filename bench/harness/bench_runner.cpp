@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
+#include "quantum/batched_kernels.hpp"
 
 namespace redqaoa {
 namespace bench {
@@ -107,6 +108,7 @@ runFigures(const RunOptions &opts)
     meta["tool"] = json::Value("redqaoa_bench");
     meta["git_sha"] = json::Value(gitSha());
     meta["threads"] = json::Value(ThreadPool::globalThreadCount());
+    meta["batched_kernels"] = json::Value(batched::activeKernels().name);
     meta["quick"] = json::Value(opts.quick);
     meta["filter"] = json::Value(opts.filter);
     meta["timestamp_unix"] =

@@ -94,6 +94,7 @@ EvalEngine::cachedEntry(const Graph &g, const EvalSpec &spec,
         auto it = evaluators_.find(key);
         if (it != evaluators_.end()) {
             ++stats_.evaluatorHits;
+            it->second.lastUse = stats_.drains;
             return it->second;
         }
         ++stats_.evaluatorMisses;
@@ -103,10 +104,41 @@ EvalEngine::cachedEntry(const Graph &g, const EvalSpec &spec,
     // the cache, so discarding their instance changes nothing.
     std::shared_ptr<CutEvaluator> built = makeEvaluator(g, spec, &cache_);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] =
-        evaluators_.try_emplace(std::move(key), Entry{std::move(built), {}});
+    auto [it, inserted] = evaluators_.try_emplace(
+        std::move(key), Entry{std::move(built), {}, 0});
     (void)inserted;
+    it->second.lastUse = stats_.drains;
     return it->second;
+}
+
+void
+EvalEngine::memoInsert(PointMemo &memo, std::span<const std::uint64_t> key,
+                       std::uint32_t hash, double value)
+{
+    const std::size_t before = memo.bytes();
+    memo.insert(key, hash, value);
+    memoBytes_ += memo.bytes() - before;
+}
+
+void
+EvalEngine::evictMemos()
+{
+    // Only a drain that went over the budget scans the tables.
+    std::vector<Entry *> tables;
+    for (auto &[key, entry] : evaluators_)
+        if (entry.memo.size() != 0)
+            tables.push_back(&entry);
+    std::stable_sort(tables.begin(), tables.end(),
+                     [](const Entry *a, const Entry *b) {
+                         return a->lastUse < b->lastUse;
+                     });
+    for (Entry *entry : tables) {
+        if (memoBytes_ <= kMemoBudgetBytes)
+            break;
+        memoBytes_ -= entry->memo.bytes();
+        entry->memo.clear();
+        ++stats_.memoEvictions;
+    }
 }
 
 Objective
@@ -299,7 +331,7 @@ EvalEngine::drain()
                     if (rs->lookupPoint(storeKey, specKey, presentation,
                                         bits, warm)) {
                         *slot = warm;
-                        entry.memo.insert(key, hash, warm);
+                        memoInsert(entry.memo, key, hash, warm);
                         keyWords.resize(at);
                         continue;
                     }
@@ -384,8 +416,10 @@ EvalEngine::drain()
         stats_.evaluated += fresh.size();
         stats_.memoHits += memoHits;
         for (const Fresh &f : fresh)
-            f.memo->insert({keyWords.data() + f.key, f.words}, f.hash,
-                           *f.slot);
+            memoInsert(*f.memo, {keyWords.data() + f.key, f.words}, f.hash,
+                       *f.slot);
+        if (memoBytes_ > kMemoBudgetBytes)
+            evictMemos();
         for (const JobPtr &job : deterministicJobs)
             job->ready.store(true);
     }
@@ -487,6 +521,7 @@ EvalEngine::clearMemos()
     std::lock_guard<std::mutex> lock(mutex_);
     for (auto &[key, entry] : evaluators_)
         entry.memo.clear();
+    memoBytes_ = 0;
     batchMemo_.clear();
 }
 
@@ -506,6 +541,7 @@ EngineStats::toJson() const
     doc["memo_hit_rate"] = memoHitRate();
     doc["memo_entries"] = u64(memoEntries);
     doc["memo_bytes"] = u64(memoBytes);
+    doc["memo_evictions"] = u64(memoEvictions);
     doc["trajectory_jobs"] = u64(trajectoryJobs);
     doc["evaluator_hits"] = u64(evaluatorHits);
     doc["evaluator_misses"] = u64(evaluatorMisses);
@@ -531,6 +567,7 @@ EngineStats::operator+=(const EngineStats &rhs)
     memoHits += rhs.memoHits;
     memoEntries += rhs.memoEntries;
     memoBytes += rhs.memoBytes;
+    memoEvictions += rhs.memoEvictions;
     trajectoryJobs += rhs.trajectoryJobs;
     evaluatorHits += rhs.evaluatorHits;
     evaluatorMisses += rhs.evaluatorMisses;
@@ -561,6 +598,7 @@ engineStatsFromJson(const json::Value &doc)
     out.memoHits = u64("memo_hits");
     out.memoEntries = u64("memo_entries");
     out.memoBytes = u64("memo_bytes");
+    out.memoEvictions = u64("memo_evictions");
     out.trajectoryJobs = u64("trajectory_jobs");
     out.evaluatorHits = u64("evaluator_hits");
     out.evaluatorMisses = u64("evaluator_misses");
@@ -582,10 +620,9 @@ EvalEngine::stats() const
     {
         std::lock_guard<std::mutex> lock(mutex_);
         out = stats_;
-        for (const auto &[key, entry] : evaluators_) {
+        out.memoBytes = memoBytes_;
+        for (const auto &[key, entry] : evaluators_)
             out.memoEntries += entry.memo.size();
-            out.memoBytes += entry.memo.bytes();
-        }
     }
     out.artifacts = cache_.stats();
     if (store_)

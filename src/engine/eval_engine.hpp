@@ -12,7 +12,10 @@
  *    PointTable per (graph, resolved spec), kept in the evaluator
  *    cache's entry, that stores each point's exact bits in an arena
  *    (about 60-85 bytes per p = 2 point; stats() reports memo_entries
- *    and memo_bytes), and
+ *    and memo_bytes). The tables share a fixed byte budget
+ *    (kMemoBudgetBytes): a drain that leaves them above it clears
+ *    whole tables, least recently looked up first, until they fit
+ *    (memo_evictions), and
  *  - a job queue: callers submit batches of parameter points and get
  *    tickets; drain() shards every pending deterministic point and
  *    lane group from EVERY job across the global thread pool in one
@@ -126,6 +129,7 @@ struct EngineStats
     std::uint64_t memoHits = 0; //!< Points served from the memo.
     std::uint64_t memoEntries = 0; //!< Points the point memo holds.
     std::uint64_t memoBytes = 0; //!< Point-memo arena + slot bytes.
+    std::uint64_t memoEvictions = 0; //!< Memo tables cleared by the budget.
     std::uint64_t trajectoryJobs = 0; //!< Jobs on the noisy backend.
     std::uint64_t evaluatorHits = 0; //!< evaluator() served from cache.
     std::uint64_t evaluatorMisses = 0; //!< evaluator() cache fills.
@@ -152,9 +156,9 @@ struct EngineStats
     /**
      * The shared traffic document:
      *   {jobs, jobs_drained, drains, points, evaluated, memo_hits,
-     *    memo_hit_rate, memo_entries, memo_bytes, trajectory_jobs,
-     *    evaluator_hits, evaluator_misses, artifact_hits,
-     *    artifact_misses, graphs,
+     *    memo_hit_rate, memo_entries, memo_bytes, memo_evictions,
+     *    trajectory_jobs, evaluator_hits, evaluator_misses,
+     *    artifact_hits, artifact_misses, graphs,
      *    store_warm_hits, store_cold_misses, store_records,
      *    store_appends, store_recovered_drops}
      * The store_* counters are present (zero) even without an attached
@@ -181,6 +185,14 @@ EngineStats engineStatsFromJson(const json::Value &doc);
 class EvalEngine
 {
   public:
+    /**
+     * Point-memo bytes one engine keeps (memo_bytes; arenas and slot
+     * arrays): about 50k p = 2 points, or 50 of the largest figure
+     * grids (32 x 32). Values are pure, so an evicted point is
+     * recomputed bit for bit.
+     */
+    static constexpr std::size_t kMemoBudgetBytes = std::size_t{4} << 20;
+
     EvalEngine() = default;
     EvalEngine(const EvalEngine &) = delete;
     EvalEngine &operator=(const EvalEngine &) = delete;
@@ -235,7 +247,10 @@ class EvalEngine
      * thread. Values are byte-identical either way. Real lane sweeps
      * here and in batchObjective() bump the profiler counters
      * batched.sweeps (lane groups) and batched.points; the backend
-     * counters are the router's, once per request.
+     * counters are the router's, once per request. A drain whose memo
+     * inserts (fresh points and store warm hits) leave the memo above
+     * kMemoBudgetBytes clears whole (graph, spec) tables, the one
+     * looked up longest ago first, until it is back under.
      */
     void drain();
 
@@ -267,14 +282,14 @@ class EvalEngine
     std::string storeKeyFor(const Graph &g);
 
     /**
-     * Caches grow monotonically with distinct traffic (one memo entry
-     * per distinct point, one artifact set per distinct graph); a
-     * bounded sweep fits comfortably, but a service looping over
-     * ever-fresh graphs/points should clear between phases. Empties
-     * every point-memo table (memo_entries and memo_bytes read 0
-     * after) and the trajectory batch memo; values are pure, so later
-     * recomputation is identical. Shared evaluators and artifacts
-     * stay.
+     * Apart from the point memo's budget, caches grow monotonically
+     * with distinct traffic (one artifact set and evaluator per
+     * distinct graph, one trajectory batch memo entry per distinct
+     * batch); a service looping over ever-fresh graphs should clear
+     * between phases. Empties every point-memo table (memo_entries and
+     * memo_bytes read 0 after) and the trajectory batch memo; values
+     * are pure, so later recomputation is identical. Shared evaluators
+     * and artifacts stay.
      */
     void clearMemos();
 
@@ -293,14 +308,27 @@ class EvalEngine
     {
         std::shared_ptr<CutEvaluator> evaluator; //!< Set once, shared.
         PointMemo memo; //!< Guarded by mutex_.
+        /** The drain clock (stats_.drains) at its latest lookup. */
+        std::uint64_t lastUse = 0;
     };
 
     /**
      * Evaluator-cache lookup/fill; requires a deterministic kind.
-     * Entries are never erased, so the reference stays valid.
+     * Stamps the entry with the drain clock. Entries are never erased,
+     * so the reference stays valid.
      */
     Entry &cachedEntry(const Graph &g, const EvalSpec &spec,
                        EvalBackend kind);
+
+    /** memo.insert, keeping memoBytes_ in step; caller holds mutex_. */
+    void memoInsert(PointMemo &memo, std::span<const std::uint64_t> key,
+                    std::uint32_t hash, double value);
+
+    /**
+     * Clear non-empty memo tables, oldest lastUse first, until
+     * memoBytes_ is within kMemoBudgetBytes; caller holds mutex_.
+     */
+    void evictMemos();
 
     /** Run one trajectory job (fresh evaluator or whole-batch memo). */
     void runTrajectoryJob(detail::EngineJobState &job);
@@ -311,6 +339,7 @@ class EvalEngine
     std::condition_variable jobDone_; //!< get() waits on foreign drains.
     std::vector<JobPtr> pending_;
     std::map<std::pair<std::uint64_t, std::string>, Entry> evaluators_;
+    std::size_t memoBytes_ = 0; //!< Sum of the memo tables' bytes().
     /** Whole-batch memo for the trajectory backend (see drain()). */
     std::map<BatchKey, std::shared_ptr<const std::vector<double>>>
         batchMemo_;

@@ -263,6 +263,9 @@ addEngineStatsMetrics(MetricsSnapshot &snapshot, const EngineStats &stats,
     snapshot.gauge("redqaoa_engine_memo_bytes",
                    "Bytes the point memo holds (key arenas and slots).",
                    u64(stats.memoBytes), labels);
+    snapshot.counter("redqaoa_engine_memo_evictions_total",
+                     "Point-memo tables cleared by the memo byte budget.",
+                     u64(stats.memoEvictions), labels);
     snapshot.counter("redqaoa_engine_evaluator_cache_total",
                      "Evaluator cache traffic by outcome.",
                      u64(stats.evaluatorHits),

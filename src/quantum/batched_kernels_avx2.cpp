@@ -12,7 +12,11 @@
  * the scalar kernels. Do not add -mfma or _mm256_fmadd_pd here.
  *
  * Layout recap (batched_kernels.hpp): kBatchLanes = 8 lanes per
- * amplitude, so each plane row is two __m256d vectors.
+ * amplitude, so each plane row is two __m256d vectors. A mixer tile
+ * runs once per row half, so its 4 amplitudes' re/im parts fit in 8
+ * of the 16 ymm registers next to c and s (all 16 lanes at once would
+ * spill). Its loops have compile-time trip counts, so the compiler
+ * unrolls them and the tile stays in registers.
  */
 
 #include "quantum/batched_kernels.hpp"
@@ -29,79 +33,96 @@ namespace {
 static_assert(kBatchLanes == 8,
               "AVX2 kernels assume 8 lanes (2 x 4 doubles)");
 
-void
-phaseAvx2(double *re, double *im, const std::int32_t *codes,
-          std::size_t begin, std::size_t end, const double *pre,
-          const double *pim)
+/**
+ * Tiles of 2^W amplitudes, 4 lanes at a time: each tile runs once per
+ * lane half, its amplitudes' re/im parts in 2^(W+1) registers.
+ */
+struct TilesAvx2
 {
-    for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t c = static_cast<std::size_t>(codes[i]) * 8;
-        double *r = re + i * 8;
-        double *m = im + i * 8;
-        const __m256d ar0 = _mm256_loadu_pd(r);
-        const __m256d ar1 = _mm256_loadu_pd(r + 4);
-        const __m256d ai0 = _mm256_loadu_pd(m);
-        const __m256d ai1 = _mm256_loadu_pd(m + 4);
-        const __m256d br0 = _mm256_loadu_pd(pre + c);
-        const __m256d br1 = _mm256_loadu_pd(pre + c + 4);
-        const __m256d bi0 = _mm256_loadu_pd(pim + c);
-        const __m256d bi1 = _mm256_loadu_pd(pim + c + 4);
-        // (ar*br - ai*bi, ar*bi + ai*br): the complex product with one
-        // rounding per mul/sub/add, like the scalar kernel.
-        _mm256_storeu_pd(r, _mm256_sub_pd(_mm256_mul_pd(ar0, br0),
-                                          _mm256_mul_pd(ai0, bi0)));
-        _mm256_storeu_pd(r + 4, _mm256_sub_pd(_mm256_mul_pd(ar1, br1),
-                                              _mm256_mul_pd(ai1, bi1)));
-        _mm256_storeu_pd(m, _mm256_add_pd(_mm256_mul_pd(ar0, bi0),
-                                          _mm256_mul_pd(ai0, br0)));
-        _mm256_storeu_pd(m + 4, _mm256_add_pd(_mm256_mul_pd(ar1, bi1),
-                                              _mm256_mul_pd(ai1, br1)));
+    /** The rxButterfly body: (a0, a1) <- RX-matrix * (a0, a1). */
+    static inline void
+    butterfly(__m256d &r0, __m256d &m0, __m256d &r1, __m256d &m1,
+              __m256d c, __m256d s)
+    {
+        const __m256d nr0 = _mm256_add_pd(_mm256_mul_pd(c, r0),
+                                          _mm256_mul_pd(s, m1));
+        const __m256d nm0 = _mm256_sub_pd(_mm256_mul_pd(c, m0),
+                                          _mm256_mul_pd(s, r1));
+        const __m256d nr1 = _mm256_add_pd(_mm256_mul_pd(c, r1),
+                                          _mm256_mul_pd(s, m0));
+        const __m256d nm1 = _mm256_sub_pd(_mm256_mul_pd(c, m1),
+                                          _mm256_mul_pd(s, r0));
+        r0 = nr0;
+        m0 = nm0;
+        r1 = nr1;
+        m1 = nm1;
     }
-}
+
+    template <int W, detail::TileSource S>
+    static void
+    run(double *re, double *im, std::size_t tile_begin,
+        std::size_t tile_end, int q, const double *c, const double *s,
+        const TileLoad &load)
+    {
+        constexpr int kAmps = 1 << W;
+        const std::size_t step = std::size_t{1} << q;
+        const std::size_t mask = step - 1;
+        for (std::size_t t = tile_begin; t < tile_end; ++t) {
+            const std::size_t b = ((t & ~mask) << W) | (t & mask);
+            for (int h = 0; h < 8; h += 4) {
+                __m256d r[kAmps], m[kAmps];
+                for (int j = 0; j < kAmps; ++j) {
+                    const std::size_t i = b + static_cast<std::size_t>(j) *
+                                                  step;
+                    __m256d ar, ai;
+                    if constexpr (S == detail::TileSource::kUniformPhase) {
+                        ar = _mm256_set1_pd(load.uniform);
+                        ai = _mm256_setzero_pd();
+                    } else {
+                        ar = _mm256_loadu_pd(re + i * 8 + h);
+                        ai = _mm256_loadu_pd(im + i * 8 + h);
+                    }
+                    if constexpr (S == detail::TileSource::kStored) {
+                        r[j] = ar;
+                        m[j] = ai;
+                    } else {
+                        // The phase kernel's complex product, one
+                        // rounding per mul/sub/add.
+                        const std::size_t e =
+                            static_cast<std::size_t>(load.codes[i]) * 8 + h;
+                        const __m256d br = _mm256_loadu_pd(load.pre + e);
+                        const __m256d bi = _mm256_loadu_pd(load.pim + e);
+                        r[j] = _mm256_sub_pd(_mm256_mul_pd(ar, br),
+                                             _mm256_mul_pd(ai, bi));
+                        m[j] = _mm256_add_pd(_mm256_mul_pd(ar, bi),
+                                             _mm256_mul_pd(ai, br));
+                    }
+                }
+                const __m256d cv = _mm256_loadu_pd(c + h);
+                const __m256d sv = _mm256_loadu_pd(s + h);
+                for (int k = 0; k < W; ++k)
+                    for (int j = 0; j < kAmps; ++j)
+                        if ((j & (1 << k)) == 0)
+                            butterfly(r[j], m[j], r[j | (1 << k)],
+                                      m[j | (1 << k)], cv, sv);
+                for (int j = 0; j < kAmps; ++j) {
+                    const std::size_t i = b + static_cast<std::size_t>(j) *
+                                                  step;
+                    _mm256_storeu_pd(re + i * 8 + h, r[j]);
+                    _mm256_storeu_pd(im + i * 8 + h, m[j]);
+                }
+            }
+        }
+    }
+};
 
 void
-rxPairsAvx2(double *re, double *im, std::size_t pair_begin,
-            std::size_t pair_end, std::size_t step, const double *c,
-            const double *s)
+tilesAvx2(double *re, double *im, std::size_t tile_begin,
+          std::size_t tile_end, int q, int width, const double *c,
+          const double *s, const TileLoad &load)
 {
-    const __m256d c0 = _mm256_loadu_pd(c);
-    const __m256d c1 = _mm256_loadu_pd(c + 4);
-    const __m256d s0 = _mm256_loadu_pd(s);
-    const __m256d s1 = _mm256_loadu_pd(s + 4);
-    const std::size_t mask = step - 1;
-    for (std::size_t p = pair_begin; p < pair_end; ++p) {
-        const std::size_t i = ((p & ~mask) << 1) | (p & mask);
-        double *r0 = re + i * 8;
-        double *m0 = im + i * 8;
-        double *r1 = re + (i + step) * 8;
-        double *m1 = im + (i + step) * 8;
-        const __m256d re0a = _mm256_loadu_pd(r0);
-        const __m256d re0b = _mm256_loadu_pd(r0 + 4);
-        const __m256d im0a = _mm256_loadu_pd(m0);
-        const __m256d im0b = _mm256_loadu_pd(m0 + 4);
-        const __m256d re1a = _mm256_loadu_pd(r1);
-        const __m256d re1b = _mm256_loadu_pd(r1 + 4);
-        const __m256d im1a = _mm256_loadu_pd(m1);
-        const __m256d im1b = _mm256_loadu_pd(m1 + 4);
-        // The rxButterfly body: a0 <- (c*re0 + s*im1, c*im0 - s*re1),
-        // a1 <- (c*re1 + s*im0, c*im1 - s*re0).
-        _mm256_storeu_pd(r0, _mm256_add_pd(_mm256_mul_pd(c0, re0a),
-                                           _mm256_mul_pd(s0, im1a)));
-        _mm256_storeu_pd(r0 + 4, _mm256_add_pd(_mm256_mul_pd(c1, re0b),
-                                               _mm256_mul_pd(s1, im1b)));
-        _mm256_storeu_pd(m0, _mm256_sub_pd(_mm256_mul_pd(c0, im0a),
-                                           _mm256_mul_pd(s0, re1a)));
-        _mm256_storeu_pd(m0 + 4, _mm256_sub_pd(_mm256_mul_pd(c1, im0b),
-                                               _mm256_mul_pd(s1, re1b)));
-        _mm256_storeu_pd(r1, _mm256_add_pd(_mm256_mul_pd(c0, re1a),
-                                           _mm256_mul_pd(s0, im0a)));
-        _mm256_storeu_pd(r1 + 4, _mm256_add_pd(_mm256_mul_pd(c1, re1b),
-                                               _mm256_mul_pd(s1, im0b)));
-        _mm256_storeu_pd(m1, _mm256_sub_pd(_mm256_mul_pd(c0, im1a),
-                                           _mm256_mul_pd(s0, re0a)));
-        _mm256_storeu_pd(m1 + 4, _mm256_sub_pd(_mm256_mul_pd(c1, im1b),
-                                               _mm256_mul_pd(s1, re0b)));
-    }
+    detail::dispatchTiles<TilesAvx2>(width, load, re, im, tile_begin,
+                                     tile_end, q, c, s);
 }
 
 void
@@ -139,7 +160,7 @@ namespace detail {
 const KernelOps *
 avx2KernelsBuild()
 {
-    static const KernelOps ops{"avx2", phaseAvx2, rxPairsAvx2, expectAvx2};
+    static const KernelOps ops{"avx2", tilesAvx2, expectAvx2};
     return &ops;
 }
 

@@ -1,3 +1,12 @@
+/**
+ * @file
+ * BatchedStateSet and the lane sweeps built on it, plus the scalar
+ * lane kernels and the kernel selection (batched_kernels.hpp). A
+ * layer runs as two-qubit tile passes: the qubits below a cache block
+ * pass by pass inside each block, the rest as full-state passes, the
+ * first pass carrying the phase (and on layer 0 the uniform start).
+ */
+
 #include "quantum/batched_state.hpp"
 
 #include <algorithm>
@@ -19,56 +28,89 @@ namespace {
 constexpr int kL = kBatchLanes;
 
 /**
- * Scalar kernels: a plain lane loop per amplitude. Each lane performs
- * the exact operation sequence of the corresponding scalar
- * Statevector kernel (see the header contract); the lane iterations
+ * Scalar kernels: a plain lane loop per tile (or amplitude). Each lane
+ * performs the exact operation sequence of the corresponding scalar
+ * Statevector kernels (see the header contract); the lane iterations
  * are independent, so compiler auto-vectorization cannot change
  * values.
  */
-void
-phaseScalar(double *re, double *im, const std::int32_t *codes,
-            std::size_t begin, std::size_t end, const double *pre,
-            const double *pim)
+struct TilesScalar
 {
-    for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t c = static_cast<std::size_t>(codes[i]) *
-                              static_cast<std::size_t>(kL);
-        double *r = re + i * kL;
-        double *m = im + i * kL;
-        for (int l = 0; l < kL; ++l) {
-            // amp *= phase, expanded like std::complex operator*:
-            // (ar*br - ai*bi, ar*bi + ai*br), no contraction.
-            const double ar = r[l], ai = m[l];
-            const double br = pre[c + static_cast<std::size_t>(l)];
-            const double bi = pim[c + static_cast<std::size_t>(l)];
-            r[l] = ar * br - ai * bi;
-            m[l] = ar * bi + ai * br;
+    template <int W, detail::TileSource S>
+    static void
+    run(double *re, double *im, std::size_t tile_begin,
+        std::size_t tile_end, int q, const double *c, const double *s,
+        const TileLoad &load)
+    {
+        constexpr int kAmps = 1 << W;
+        const std::size_t step = std::size_t{1} << q;
+        const std::size_t mask = step - 1;
+        for (std::size_t t = tile_begin; t < tile_end; ++t) {
+            const std::size_t b = ((t & ~mask) << W) | (t & mask);
+            double *r[kAmps], *m[kAmps];
+            const double *pr[kAmps] = {}, *pi[kAmps] = {};
+            for (int j = 0; j < kAmps; ++j) {
+                const std::size_t i = b + static_cast<std::size_t>(j) * step;
+                r[j] = re + i * kL;
+                m[j] = im + i * kL;
+                if constexpr (S != detail::TileSource::kStored) {
+                    const std::size_t e =
+                        static_cast<std::size_t>(load.codes[i]) * kL;
+                    pr[j] = load.pre + e;
+                    pi[j] = load.pim + e;
+                }
+            }
+            for (int l = 0; l < kL; ++l) {
+                double tr[kAmps], tm[kAmps];
+                for (int j = 0; j < kAmps; ++j) {
+                    double ar, ai;
+                    if constexpr (S == detail::TileSource::kUniformPhase) {
+                        ar = load.uniform;
+                        ai = 0.0;
+                    } else {
+                        ar = r[j][l];
+                        ai = m[j][l];
+                    }
+                    if constexpr (S == detail::TileSource::kStored) {
+                        tr[j] = ar;
+                        tm[j] = ai;
+                    } else {
+                        // amp *= phase, expanded like std::complex
+                        // operator*, no contraction.
+                        const double br = pr[j][l], bi = pi[j][l];
+                        tr[j] = ar * br - ai * bi;
+                        tm[j] = ar * bi + ai * br;
+                    }
+                }
+                for (int k = 0; k < W; ++k)
+                    for (int j = 0; j < kAmps; ++j) {
+                        if ((j & (1 << k)) != 0)
+                            continue;
+                        // The rxButterfly body, per lane.
+                        const int o = j | (1 << k);
+                        const double re0 = tr[j], im0 = tm[j];
+                        const double re1 = tr[o], im1 = tm[o];
+                        tr[j] = c[l] * re0 + s[l] * im1;
+                        tm[j] = c[l] * im0 - s[l] * re1;
+                        tr[o] = c[l] * re1 + s[l] * im0;
+                        tm[o] = c[l] * im1 - s[l] * re0;
+                    }
+                for (int j = 0; j < kAmps; ++j) {
+                    r[j][l] = tr[j];
+                    m[j][l] = tm[j];
+                }
+            }
         }
     }
-}
+};
 
 void
-rxPairsScalar(double *re, double *im, std::size_t pair_begin,
-              std::size_t pair_end, std::size_t step, const double *c,
-              const double *s)
+tilesScalar(double *re, double *im, std::size_t tile_begin,
+            std::size_t tile_end, int q, int width, const double *c,
+            const double *s, const TileLoad &load)
 {
-    const std::size_t mask = step - 1;
-    for (std::size_t p = pair_begin; p < pair_end; ++p) {
-        const std::size_t i = ((p & ~mask) << 1) | (p & mask);
-        double *r0 = re + i * kL;
-        double *m0 = im + i * kL;
-        double *r1 = re + (i + step) * kL;
-        double *m1 = im + (i + step) * kL;
-        for (int l = 0; l < kL; ++l) {
-            // The rxButterfly body, per lane.
-            const double re0 = r0[l], im0 = m0[l];
-            const double re1 = r1[l], im1 = m1[l];
-            r0[l] = c[l] * re0 + s[l] * im1;
-            m0[l] = c[l] * im0 - s[l] * re1;
-            r1[l] = c[l] * re1 + s[l] * im0;
-            m1[l] = c[l] * im1 - s[l] * re0;
-        }
-    }
+    detail::dispatchTiles<TilesScalar>(width, load, re, im, tile_begin,
+                                       tile_end, q, c, s);
 }
 
 void
@@ -91,8 +133,7 @@ const KernelOps *gForced = nullptr;
 const KernelOps &
 scalarKernels()
 {
-    static const KernelOps ops{"scalar", phaseScalar, rxPairsScalar,
-                               expectScalar};
+    static const KernelOps ops{"scalar", tilesScalar, expectScalar};
     return ops;
 }
 
@@ -145,14 +186,13 @@ constexpr int kL = batched::kBatchLanes;
 constexpr std::size_t kChunkLen = detail::kStateChunkLen;
 
 /**
- * Cache block of the fused batched mixer: 2^11 amplitudes * kL lanes *
- * 16 bytes = 256 KiB, L2-resident. Matching the scalar kernel's
- * kBlockQubits = 11 keeps the number of strided high-qubit passes the
- * same as the point-at-a-time path (each such pass streams the full
- * 8-lane set, so extra ones cost 8x); measured faster than an
- * L1-sized block at n = 12..16. Blocking never changes values.
+ * Cache block of the tiled mixer: 2^10 amplitudes * kL lanes * 16 bytes
+ * = 128 KiB of lane data, L2-resident. Even, so no two-qubit tile
+ * straddles a block edge: the qubits below it run as tile passes
+ * inside each block in turn, the rest as full-state tile passes.
+ * Blocking never changes values.
  */
-constexpr int kBatchBlockQubits = 11;
+constexpr int kBatchBlockQubits = 10;
 
 using detail::intraStateParallel;
 
@@ -163,39 +203,19 @@ BatchedStateSet::resetUniform(int num_qubits)
 {
     assert(num_qubits >= 0 && num_qubits < 30);
     numQubits_ = num_qubits;
-    const std::size_t dim = static_cast<std::size_t>(1) << num_qubits;
-    const double a = 1.0 / std::sqrt(static_cast<double>(dim));
-    re_.assign(dim * kL, a);
-    im_.assign(dim * kL, 0.0);
+    re_.resize(dim() * kL);
+    im_.resize(dim() * kL);
+    startPending_ = true;
 }
 
 void
-BatchedStateSet::applyPhaseTables(std::span<const std::int32_t> codes,
-                                  std::span<const double> pre,
-                                  std::span<const double> pim)
+BatchedStateSet::applyLayer(std::span<const std::int32_t> codes,
+                            std::span<const double> pre,
+                            std::span<const double> pim,
+                            std::span<const double> thetas)
 {
     const std::size_t n = dim();
     assert(codes.size() == n);
-    double *re = re_.data();
-    double *im = im_.data();
-    const double *pr = pre.data();
-    const double *pi = pim.data();
-    const std::int32_t *cd = codes.data();
-    const batched::KernelOps &ops = batched::activeKernels();
-    if (intraStateParallel(n))
-        parallelForChunks(
-            n,
-            [&](std::size_t begin, std::size_t end) {
-                ops.phase(re, im, cd, begin, end, pr, pi);
-            },
-            kChunkLen);
-    else
-        ops.phase(re, im, cd, 0, n, pr, pi);
-}
-
-void
-BatchedStateSet::applyRxAll(std::span<const double> thetas)
-{
     assert(thetas.size() == static_cast<std::size_t>(kL));
     // Per-lane c/s computed exactly as Statevector::applyRxAll does.
     double c[kL], s[kL];
@@ -203,51 +223,71 @@ BatchedStateSet::applyRxAll(std::span<const double> thetas)
         c[l] = std::cos(thetas[static_cast<std::size_t>(l)] / 2.0);
         s[l] = std::sin(thetas[static_cast<std::size_t>(l)] / 2.0);
     }
-    const std::size_t n = dim();
+    batched::TileLoad first;
+    first.codes = codes.data();
+    first.pre = pre.data();
+    first.pim = pim.data();
+    first.fromUniform = startPending_;
+    first.uniform = 1.0 / std::sqrt(static_cast<double>(n));
+    startPending_ = false;
+    const batched::TileLoad stored;
     double *re = re_.data();
     double *im = im_.data();
     const batched::KernelOps &ops = batched::activeKernels();
+    const bool pooled = intraStateParallel(n);
 
-    // Low qubits: fused back-to-back passes inside each cache block
-    // (qubits below the block size never pair across blocks).
+    // Qubits below the block: every tile pass of one block before the
+    // next block, the first pass with the phase (qubits below the block
+    // size never pair across blocks).
     const int low = std::min(numQubits_, kBatchBlockQubits);
     const std::size_t block = std::size_t{1} << low;
-    const std::size_t blocks = n / block;
-    auto fused = [&](std::size_t bbegin, std::size_t bend) {
+    auto blocked = [&](std::size_t bbegin, std::size_t bend) {
         for (std::size_t b = bbegin; b < bend; ++b) {
-            double *br = re + b * block * kL;
-            double *bi = im + b * block * kL;
-            for (int q = 0; q < low; ++q)
-                ops.rxPairs(br, bi, 0, block / 2, std::size_t{1} << q, c,
-                            s);
+            batched::TileLoad load = first;
+            load.codes += b * block;
+            int q = 0;
+            do {
+                const int w = std::min(2, low - q);
+                ops.tiles(re + b * block * kL, im + b * block * kL, 0,
+                          block >> w, q, w, c, s, load);
+                load = stored;
+                q += 2;
+            } while (q < low);
         }
     };
-    if (intraStateParallel(n))
-        parallelForChunks(blocks, fused,
+    if (pooled)
+        parallelForChunks(n / block, blocked,
                           std::max<std::size_t>(1, kChunkLen / block));
     else
-        fused(0, blocks);
+        blocked(0, n / block);
 
-    // High qubits: one strided pass each over the flat pair index.
-    for (int q = low; q < numQubits_; ++q) {
-        const std::size_t step = std::size_t{1} << q;
-        if (intraStateParallel(n))
+    // Higher qubits: one full-state tile pass per two of them.
+    for (int q = low; q < numQubits_; q += 2) {
+        const int w = std::min(2, numQubits_ - q);
+        if (pooled)
             parallelForChunks(
-                n / 2,
-                [&](std::size_t pb, std::size_t pe) {
-                    ops.rxPairs(re, im, pb, pe, step, c, s);
+                n >> w,
+                [&](std::size_t tb, std::size_t te) {
+                    ops.tiles(re, im, tb, te, q, w, c, s, stored);
                 },
-                kChunkLen / 2);
+                kChunkLen >> w);
         else
-            ops.rxPairs(re, im, 0, n / 2, step, c, s);
+            ops.tiles(re, im, 0, n >> w, q, w, c, s, stored);
     }
 }
 
 void
 BatchedStateSet::expectationFromCodes(std::span<const std::int32_t> codes,
-                                      std::span<double> out) const
+                                      std::span<double> out)
 {
     const std::size_t n = dim();
+    if (startPending_) {
+        // No layer ran (depth 0): the lanes are the uniform start.
+        std::fill(re_.begin(), re_.end(),
+                  1.0 / std::sqrt(static_cast<double>(n)));
+        std::fill(im_.begin(), im_.end(), 0.0);
+        startPending_ = false;
+    }
     assert(codes.size() == n);
     assert(out.size() == static_cast<std::size_t>(kL));
     const double *re = re_.data();
@@ -315,8 +355,7 @@ sweepLaneGroup(std::span<const std::int32_t> codes, int max_code,
                 2.0 * group.pts[static_cast<std::size_t>(l)]->beta[l2];
         }
         buildPhaseTablesSoA(max_code, gammas, pre, pim);
-        set.applyPhaseTables(codes, pre, pim);
-        set.applyRxAll(thetas);
+        set.applyLayer(codes, pre, pim, thetas);
     }
     double acc[kL];
     set.expectationFromCodes(codes, acc);

@@ -9,7 +9,10 @@
  * kBatchLanes statevectors through each pass together, so the
  * per-amplitude cut code is loaded once per kBatchLanes points and the
  * lane dimension maps directly onto SIMD vectors (see
- * batched_kernels.hpp for the dispatch policy).
+ * batched_kernels.hpp for the dispatch policy). A layer is one call:
+ * the mixer walks the lane set once per two qubits (register tiles),
+ * and its first pass applies the cost layer's phase on load; the
+ * first layer also reads the uniform start instead of a stored state.
  *
  * Contract: every lane evolves through EXACTLY the arithmetic the
  * scalar path (applyQaoaLayers + Statevector::expectationFromCodes on
@@ -50,7 +53,9 @@ class BatchedStateSet
     /**
      * Reset every lane to the uniform superposition on
      * @p num_qubits qubits (amplitude 1/sqrt(dim), the same value
-     * Statevector::resetUniform computes).
+     * Statevector::resetUniform computes). Nothing is written here: the
+     * next applyLayer reads the start operands (a, 0.0) in its first
+     * pass instead of loading them.
      */
     void resetUniform(int num_qubits);
 
@@ -62,42 +67,36 @@ class BatchedStateSet
         return static_cast<std::size_t>(1) << numQubits_;
     }
 
-    double *re() { return re_.data(); }
-    double *im() { return im_.data(); }
-    const double *re() const { return re_.data(); }
-    const double *im() const { return im_.data(); }
-
     /**
-     * Per-lane cost layer: lane's amplitude i is multiplied by its
-     * phase table entry for codes[i]. Tables are lane-major
-     * (buildPhaseTablesSoA layout): entry (code, lane) at
-     * pre/pim[code * kBatchLanes + lane]. Mirrors
-     * Statevector::applyPhaseTable per lane.
+     * One QAOA layer per lane: the cost layer (lane's amplitude i times
+     * its phase-table entry for codes[i]; tables lane-major as
+     * buildPhaseTablesSoA lays them out) then RX(thetas[lane]) on every
+     * qubit, bit-identical per lane to Statevector::applyPhaseTable
+     * followed by Statevector::applyRxAll. The mixer runs as two-qubit
+     * tile passes (batched_kernels.hpp), the qubits below a 2^10-
+     * amplitude cache block inside each block in turn and the rest as
+     * full-state passes; the layer's first pass applies the phase on
+     * load. @p thetas has kBatchLanes entries.
      */
-    void applyPhaseTables(std::span<const std::int32_t> codes,
-                          std::span<const double> pre,
-                          std::span<const double> pim);
-
-    /**
-     * Per-lane fused mixer: RX(thetas[lane]) on every qubit of lane,
-     * cache-blocked exactly like Statevector::applyRxAll (low qubits
-     * fused per L1 block, high qubits one strided pass each) and
-     * bit-identical to it per lane. @p thetas has kBatchLanes entries.
-     */
-    void applyRxAll(std::span<const double> thetas);
+    void applyLayer(std::span<const std::int32_t> codes,
+                    std::span<const double> pre,
+                    std::span<const double> pim,
+                    std::span<const double> thetas);
 
     /**
      * out[lane] = sum_i |amp_i|^2 * codes[i] for each lane, with the
      * reduction shaped exactly like the scalar chunked sum (see file
      * comment) so every lane matches
      * Statevector::expectationFromCodes byte-for-byte. @p out has
-     * kBatchLanes entries.
+     * kBatchLanes entries. A set that ran no layer since its reset
+     * writes its uniform start first.
      */
     void expectationFromCodes(std::span<const std::int32_t> codes,
-                              std::span<double> out) const;
+                              std::span<double> out);
 
   private:
     int numQubits_ = 0;
+    bool startPending_ = false; //!< Reset, no layer applied yet.
     std::vector<double> re_;
     std::vector<double> im_;
 };

@@ -19,6 +19,7 @@
 #include "bench/harness/bench_runner.hpp"
 #include "bench/harness/figure.hpp"
 #include "common/json.hpp"
+#include "quantum/batched_kernels.hpp"
 
 using namespace redqaoa;
 using bench::FigureContext;
@@ -167,6 +168,8 @@ TEST(BenchDocument, SchemaAndMetadata)
     EXPECT_EQ(meta->find("tool")->asString(), "redqaoa_bench");
     EXPECT_FALSE(meta->find("git_sha")->asString().empty());
     EXPECT_GE(meta->find("threads")->asNumber(), 1.0);
+    EXPECT_EQ(meta->find("batched_kernels")->asString(),
+              batched::activeKernels().name);
     EXPECT_TRUE(meta->find("quick")->asBool());
     EXPECT_EQ(meta->find("filter")->asString(), "^zztest_probe$");
     EXPECT_GT(meta->find("timestamp_unix")->asNumber(), 0.0);

@@ -632,22 +632,76 @@ TEST(EvalEngine, ClearMemosEmptiesTheMemoCounters)
 
 TEST(EvalEngine, MemoHoldsAP2PointInAtMost96Bytes)
 {
-    // A 3-node graph keeps the 100k computations cheap; the memo cost
-    // per point does not depend on the graph.
-    Graph g(3);
-    g.addEdge(0, 1);
-    g.addEdge(1, 2);
+    // 100k points exceed one engine's memo budget, so they fill the
+    // memo's own table type directly, keyed as the engine keys a p = 2
+    // point: the layer count, then the gamma and beta bit patterns.
     Rng prng(95);
-    EvalEngine engine;
+    PointMemo memo;
     constexpr std::size_t kPoints = 100000;
-    for (std::size_t done = 0; done < kPoints; done += 1000)
-        engine.evaluate(g, EvalSpec::ideal(2),
-                        randomParameterSets(2, 1000, prng));
-    EngineStats stats = engine.stats();
-    ASSERT_EQ(stats.memoEntries, kPoints);
-    EXPECT_LE(stats.memoBytes, 96 * stats.memoEntries)
-        << static_cast<double>(stats.memoBytes) / kPoints
+    for (const QaoaParams &p : randomParameterSets(2, kPoints, prng)) {
+        const std::array<std::uint64_t, 5> key = {
+            2, std::bit_cast<std::uint64_t>(p.gamma[0]),
+            std::bit_cast<std::uint64_t>(p.gamma[1]),
+            std::bit_cast<std::uint64_t>(p.beta[0]),
+            std::bit_cast<std::uint64_t>(p.beta[1])};
+        memo.insert(key, PointMemo::hash(key), p.gamma[0]);
+    }
+    ASSERT_EQ(memo.size(), kPoints);
+    EXPECT_LE(memo.bytes(), 96 * memo.size())
+        << static_cast<double>(memo.bytes()) / kPoints
         << " bytes per point";
+}
+
+TEST(EvalEngine, MemoBudgetEvictsLeastRecentTables)
+{
+    // Three 3-node graphs keep the computations cheap. a and b take
+    // 20k points each, a is looked up again, then c fills until the
+    // memo passes its budget: b's table, looked up longest ago, goes
+    // first, and enough room is left that a's stays.
+    Graph a(3), b(3), c(3);
+    a.addEdge(0, 1);
+    a.addEdge(1, 2);
+    b.addEdge(0, 1);
+    b.addEdge(0, 2);
+    c.addEdge(0, 2);
+    c.addEdge(1, 2);
+    const EvalSpec spec = EvalSpec::ideal(2);
+    Rng prng(97);
+    EvalEngine engine;
+    auto fill = [&](const Graph &g, std::size_t points) {
+        for (std::size_t done = 0; done < points; done += 1000) {
+            engine.evaluate(g, spec, randomParameterSets(2, 1000, prng));
+            EXPECT_LE(engine.stats().memoBytes, EvalEngine::kMemoBudgetBytes);
+        }
+    };
+    Rng pointRng(98);
+    const auto aPoint = randomParameterSets(2, 1, pointRng);
+    const auto bPoint = randomParameterSets(2, 1, pointRng);
+    const double aFirst = engine.evaluate(a, spec, aPoint)[0];
+    const double bFirst = engine.evaluate(b, spec, bPoint)[0];
+    fill(a, 20000);
+    fill(b, 20000);
+    EXPECT_EQ(engine.evaluate(a, spec, aPoint)[0], aFirst); // a is recent.
+    EXPECT_EQ(engine.stats().memoEvictions, 0u);
+    std::size_t cPoints = 0;
+    while (engine.stats().memoEvictions == 0 && cPoints < 100000) {
+        fill(c, 1000);
+        cPoints += 1000;
+    }
+    EngineStats stats = engine.stats();
+    ASSERT_GE(stats.memoEvictions, 1u) << cPoints << " points on c";
+    EXPECT_LE(stats.memoBytes, EvalEngine::kMemoBudgetBytes);
+    EXPECT_EQ(engine.stats().toJson().find("memo_evictions")->asNumber(),
+              static_cast<double>(stats.memoEvictions));
+
+    // b's repeat is recomputed, bit for bit; a's is still a memo hit.
+    EXPECT_EQ(engine.evaluate(b, spec, bPoint)[0], bFirst);
+    EXPECT_EQ(engine.stats().evaluated, stats.evaluated + 1);
+    EXPECT_EQ(engine.stats().memoHits, stats.memoHits);
+    EXPECT_EQ(engine.evaluate(a, spec, aPoint)[0], aFirst);
+    EXPECT_EQ(engine.stats().evaluated, stats.evaluated + 1);
+    EXPECT_EQ(engine.stats().memoHits, stats.memoHits + 1);
+    EXPECT_EQ(bFirst, ExactEvaluator(b).expectation(bPoint[0]));
 }
 
 TEST(PointTable, EveryHashMatchComparesTheFullKey)

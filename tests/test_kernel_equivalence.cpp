@@ -705,6 +705,29 @@ TEST(BatchedKernels, GoldenAndBitIdenticalToScalarPath)
         for (std::size_t i = 0; i < pts.size(); ++i)
             EXPECT_EQ(got[i], direct.expectation(pts[i]))
                 << ops->name << " point " << i;
+
+        // Every n from 0 to 14: odd counts end in a one-qubit tile
+        // pass (n = 0 runs the load-only tile), n = 9, 10 and 11..14
+        // sit below, at and above the 2^10-amplitude tile block, and at
+        // 4 threads n = 14 spreads its passes over the pool. A depth-0
+        // point reads the uniform start itself.
+        for (int threads : {1, 4}) {
+            ThreadPool::setGlobalThreads(threads);
+            for (int n = 0; n <= 14; ++n) {
+                Rng grng(static_cast<std::uint64_t>(1000 + n));
+                Graph gn = n < 2 ? Graph(n) : gen::connectedGnp(n, 0.5, grng);
+                Rng nrng(static_cast<std::uint64_t>(2000 + n));
+                std::vector<QaoaParams> pn = mixedDepthPoints(nrng, 9, 4);
+                pn.emplace_back();
+                std::vector<double> gotN = batchedValues(gn, pn);
+                ExactEvaluator directN(gn);
+                for (std::size_t i = 0; i < pn.size(); ++i)
+                    EXPECT_EQ(gotN[i], directN.expectation(pn[i]))
+                        << ops->name << " threads=" << threads
+                        << " n=" << n << " point " << i;
+            }
+        }
+        ThreadPool::setGlobalThreads(1);
     }
 }
 
@@ -719,20 +742,26 @@ TEST(BatchedKernels, ByteIdenticalAcrossPoolsOnLargeState)
     Graph g = gen::connectedGnp(16, 0.25, rng);
     Rng prng(321);
     std::vector<QaoaParams> pts = mixedDepthPoints(prng, 6, 5);
+    // n = 15 ends in a one-qubit tile pass spread over the pool.
+    Rng rng15(78);
+    Graph g15 = gen::connectedGnp(15, 0.25, rng15);
 
-    std::vector<std::vector<double>> multi;
-    for (int threads : {1, 2, 8}) {
-        ThreadPool::setGlobalThreads(threads);
-        std::vector<double> got = batchedValues(g, pts);
-        QaoaSimulator sim(g);
-        for (std::size_t i = 0; i < pts.size(); ++i)
-            EXPECT_EQ(got[i], sim.expectation(pts[i]))
-                << "threads=" << threads << " point " << i;
-        if (threads >= 2)
-            multi.push_back(std::move(got));
+    for (const Graph *graph : {&g, &g15}) {
+        std::vector<std::vector<double>> multi;
+        for (int threads : {1, 2, 8}) {
+            ThreadPool::setGlobalThreads(threads);
+            std::vector<double> got = batchedValues(*graph, pts);
+            QaoaSimulator sim(*graph);
+            for (std::size_t i = 0; i < pts.size(); ++i)
+                EXPECT_EQ(got[i], sim.expectation(pts[i]))
+                    << "n=" << graph->numNodes() << " threads=" << threads
+                    << " point " << i;
+            if (threads >= 2)
+                multi.push_back(std::move(got));
+        }
+        // And the multi-thread pools agree among themselves exactly.
+        EXPECT_EQ(multi[0], multi[1]);
     }
-    // And the multi-thread pools agree among themselves exactly.
-    EXPECT_EQ(multi[0], multi[1]);
 }
 
 TEST(BatchedKernels, EvaluatorBatchRoutesThroughLanes)

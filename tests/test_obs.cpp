@@ -182,13 +182,18 @@ TEST(Trace, AccumulateMergesHotSpansByNameAndParent)
 TEST(Trace, RingIsBoundedAndSlowlogIsWorstFirst)
 {
     obs::TraceRing ring(/*ring_capacity=*/2, /*slowlog_capacity=*/2);
-    const int delays_ms[] = {0, 6, 2, 4};
-    for (int delay : delays_ms) {
-        obs::TraceRecorder rec("t" + std::to_string(delay));
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-        rec.finish();
-        ring.add(rec);
+    // Created t6, t4, t2, t0 and finished in the reverse order, a sleep
+    // before each finish: a recorder finished later was created
+    // earlier, so the totals order t6 > t4 > t2 > t0 by construction.
+    std::vector<obs::TraceRecorder> recs; // recs[k] is t(6 - 2k).
+    for (int total : {6, 4, 2, 0})
+        recs.emplace_back("t" + std::to_string(total));
+    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        it->finish();
     }
+    for (int total : {0, 6, 2, 4})
+        ring.add(recs[static_cast<std::size_t>(3 - total / 2)]);
     EXPECT_EQ(ring.size(), 2u); // Ring keeps only the most recent.
 
     json::Value doc = ring.slowlogJson();
@@ -414,6 +419,7 @@ TEST(Metrics, RequiredFamilyNamesStayPinned)
         "redqaoa_engine_memo_hits_total",
         "redqaoa_engine_memo_entries",
         "redqaoa_engine_memo_bytes",
+        "redqaoa_engine_memo_evictions_total",
         "redqaoa_engine_evaluator_cache_total",
         "redqaoa_engine_artifact_cache_total",
         "redqaoa_engine_graphs",
