@@ -50,7 +50,7 @@ BM_CutTableConstruction(benchmark::State &state)
     int n = static_cast<int>(state.range(0));
     Graph g = graphFor(n);
     for (auto _ : state)
-        benchmark::DoNotOptimize(cutTable(g));
+        benchmark::DoNotOptimize(makeCutTable(g));
 }
 BENCHMARK(BM_CutTableConstruction)->Arg(10)->Arg(14)->Arg(18);
 

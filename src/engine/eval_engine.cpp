@@ -376,7 +376,7 @@ EvalEngine::drain()
     // submission order. The groups of larger states follow one at a
     // time on this thread, their kernels spreading each pass over the
     // pool: as fan-out indices, every thread would hold a lane set of
-    // its own (2^n * kBatchLanes amplitudes) while its kernels ran
+    // its own (2^(n-1) * kBatchLanes amplitudes) while its kernels ran
     // nested, inline.
     std::vector<std::pair<LaneJob *, const LaneGroup *>> groups;
     std::vector<std::pair<LaneJob *, const LaneGroup *>> wideGroups;

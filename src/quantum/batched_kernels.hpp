@@ -19,6 +19,14 @@
  * Per amplitude that is the same mul/add/sub sequence, in the same
  * qubit order, as a phase pass followed by per-qubit RX passes.
  *
+ * A lane stores only the half of its state whose top qubit is 0: MaxCut
+ * states are flip-symmetric bit for bit, a(z) == a(~z) (see
+ * batched_state.hpp), so amplitude i >= 2^(n-1) is read from its mirror
+ * (2^n - 1) ^ i. A layer's last pass is a flip tile pass over the top
+ * two qubits, whose slots with the top qubit set are mirrors, and the
+ * readout walks the mirrored half downward to keep the full-state
+ * summation order.
+ *
  * Two implementations are provided:
  *  - scalar: plain loops over the lane dimension (the portable
  *    fallback; the lane loops are trivially auto-vectorizable and any
@@ -70,7 +78,20 @@ struct TileLoad
 };
 
 /**
- * One kernel implementation. All ranges are amplitude (or tile)
+ * Where a tile's slots are stored. kPlain: slot j at amplitude
+ * b + j * 2^q. kFlip, the last pass of a half-state layer
+ * (q + width == n): a slot with bit width - 1 of j set is the full
+ * index i = b + j * 2^q >= 2^(n-1), read and written at its mirror
+ * (2^n - 1) ^ i in the stored half.
+ */
+enum class TileSlots
+{
+    kPlain,
+    kFlip
+};
+
+/**
+ * One kernel implementation. All ranges are stored amplitude (or tile)
  * indices: the lane dimension is implicit, every amplitude is
  * kBatchLanes doubles in each plane.
  */
@@ -81,25 +102,28 @@ struct KernelOps
     /**
      * Mixer tiles [tile_begin, tile_end) over qubits q .. q + width - 1
      * (width 1 or 2; 0 on a 0-qubit state, where a tile is the load
-     * alone). Tile t holds amplitudes b + j * 2^q for j < 2^width,
-     * b = ((t & ~(2^q - 1)) << width) | (t & (2^q - 1)). Each tile
-     * loads them per @p load, applies qubit q's rxButterfly to slot
-     * pairs (0,1) and (2,3), then qubit q+1's to (0,2) and (1,3), and
-     * stores once. c / s are the per-lane cos/sin of the half angle.
+     * alone). Tile t holds slots b + j * 2^q for j < 2^width,
+     * b = ((t & ~(2^q - 1)) << width) | (t & (2^q - 1)), stored as
+     * @p slots says. Each tile loads every slot per @p load, applies
+     * qubit q's rxButterfly to slot pairs (0,1) and (2,3), then qubit
+     * q+1's to (0,2) and (1,3), and then stores every slot (so slots
+     * that alias one amplitude are fine when they end equal). c / s are
+     * the per-lane cos/sin of the half angle.
      */
     void (*tiles)(double *re, double *im, std::size_t tile_begin,
-                  std::size_t tile_end, int q, int width, const double *c,
-                  const double *s, const TileLoad &load);
+                  std::size_t tile_end, int q, int width, TileSlots slots,
+                  const double *c, const double *s, const TileLoad &load);
 
     /**
-     * acc[lane] += sum over i in [begin, end) of |amp_i|^2 * codes[i],
-     * accumulated in ascending i exactly like the scalar
+     * acc[lane] += |amp_i|^2 * codes[i] over stored i in [begin, end),
+     * ascending, or descending when @p mirrored (the upper half of the
+     * full index order), accumulated exactly like the scalar
      * expectationFromCodes loop (norm first, then the code product,
      * then the running-sum add).
      */
     void (*expect)(const double *re, const double *im,
                    const std::int32_t *codes, std::size_t begin,
-                   std::size_t end, double *acc);
+                   std::size_t end, bool mirrored, double *acc);
 };
 
 /** The portable lane-loop implementation (always available). */
@@ -134,29 +158,48 @@ enum class TileSource
     kUniformPhase
 };
 
+/** Stored index of slot @p j of the tile based at @p b (TileSlots). */
+template <int W, TileSlots F>
+inline std::size_t
+tileSlot(std::size_t b, int j, std::size_t step)
+{
+    static_assert(F == TileSlots::kPlain || W > 0);
+    const std::size_t i = b + static_cast<std::size_t>(j) * step;
+    if constexpr (F == TileSlots::kFlip)
+        if ((j >> (W - 1)) != 0)
+            return ((step << W) - 1) ^ i;
+    return i;
+}
+
 /**
- * Calls Impl::run<W, S>(args..., load) for the tile width and operand
- * source, so each implementation's tile loop is compiled with constant
- * trip counts (registers, not memory, hold a tile).
+ * Calls Impl::run<W, S, F>(args..., load) for the tile width, operand
+ * source and slot map, so each implementation's tile loop is compiled
+ * with constant trip counts (registers, not memory, hold a tile).
  */
 template <class Impl, class... Args>
 void
-dispatchTiles(int width, const TileLoad &load, Args... args)
+dispatchTiles(int width, TileSlots slots, const TileLoad &load, Args... args)
 {
-    auto bySource = [&]<int W>() {
+    using enum TileSource;
+    using enum TileSlots;
+    auto bySource = [&]<int W, TileSlots F>() {
         if (load.codes == nullptr)
-            Impl::template run<W, TileSource::kStored>(args..., load);
+            Impl::template run<W, kStored, F>(args..., load);
         else if (load.fromUniform)
-            Impl::template run<W, TileSource::kUniformPhase>(args..., load);
+            Impl::template run<W, kUniformPhase, F>(args..., load);
         else
-            Impl::template run<W, TileSource::kPhase>(args..., load);
+            Impl::template run<W, kPhase, F>(args..., load);
     };
-    if (width == 2)
-        bySource.template operator()<2>();
+    if (slots == kFlip && width == 2)
+        bySource.template operator()<2, kFlip>();
+    else if (slots == kFlip)
+        bySource.template operator()<1, kFlip>();
+    else if (width == 2)
+        bySource.template operator()<2, kPlain>();
     else if (width == 1)
-        bySource.template operator()<1>();
+        bySource.template operator()<1, kPlain>();
     else
-        bySource.template operator()<0>();
+        bySource.template operator()<0, kPlain>();
 }
 
 } // namespace detail

@@ -16,7 +16,11 @@
  * runs once per row half, so its 4 amplitudes' re/im parts fit in 8
  * of the 16 ymm registers next to c and s (all 16 lanes at once would
  * spill). Its loops have compile-time trip counts, so the compiler
- * unrolls them and the tile stays in registers.
+ * unrolls them and the tile stays in registers. A lane stores the half
+ * of its state with the top qubit 0; the flip tile of a layer's last
+ * pass is this tile body with mirrored slot addresses
+ * (detail::tileSlot), and the readout walks the mirrored half
+ * downward.
  */
 
 #include "quantum/batched_kernels.hpp"
@@ -58,7 +62,7 @@ struct TilesAvx2
         m1 = nm1;
     }
 
-    template <int W, detail::TileSource S>
+    template <int W, detail::TileSource S, TileSlots F>
     static void
     run(double *re, double *im, std::size_t tile_begin,
         std::size_t tile_end, int q, const double *c, const double *s,
@@ -72,8 +76,7 @@ struct TilesAvx2
             for (int h = 0; h < 8; h += 4) {
                 __m256d r[kAmps], m[kAmps];
                 for (int j = 0; j < kAmps; ++j) {
-                    const std::size_t i = b + static_cast<std::size_t>(j) *
-                                                  step;
+                    const std::size_t i = detail::tileSlot<W, F>(b, j, step);
                     __m256d ar, ai;
                     if constexpr (S == detail::TileSource::kUniformPhase) {
                         ar = _mm256_set1_pd(load.uniform);
@@ -106,8 +109,7 @@ struct TilesAvx2
                             butterfly(r[j], m[j], r[j | (1 << k)],
                                       m[j | (1 << k)], cv, sv);
                 for (int j = 0; j < kAmps; ++j) {
-                    const std::size_t i = b + static_cast<std::size_t>(j) *
-                                                  step;
+                    const std::size_t i = detail::tileSlot<W, F>(b, j, step);
                     _mm256_storeu_pd(re + i * 8 + h, r[j]);
                     _mm256_storeu_pd(im + i * 8 + h, m[j]);
                 }
@@ -118,20 +120,22 @@ struct TilesAvx2
 
 void
 tilesAvx2(double *re, double *im, std::size_t tile_begin,
-          std::size_t tile_end, int q, int width, const double *c,
-          const double *s, const TileLoad &load)
+          std::size_t tile_end, int q, int width, TileSlots slots,
+          const double *c, const double *s, const TileLoad &load)
 {
-    detail::dispatchTiles<TilesAvx2>(width, load, re, im, tile_begin,
+    detail::dispatchTiles<TilesAvx2>(width, slots, load, re, im, tile_begin,
                                      tile_end, q, c, s);
 }
 
 void
 expectAvx2(const double *re, const double *im, const std::int32_t *codes,
-           std::size_t begin, std::size_t end, double *acc)
+           std::size_t begin, std::size_t end, bool mirrored, double *acc)
 {
     __m256d acc0 = _mm256_loadu_pd(acc);
     __m256d acc1 = _mm256_loadu_pd(acc + 4);
-    for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t step = mirrored ? ~std::size_t{0} : 1;
+    std::size_t i = mirrored ? end - 1 : begin;
+    for (std::size_t k = begin; k < end; ++k, i += step) {
         const __m256d code =
             _mm256_set1_pd(static_cast<double>(codes[i]));
         const double *r = re + i * 8;

@@ -1,10 +1,13 @@
 /**
  * @file
  * BatchedStateSet and the lane sweeps built on it, plus the scalar
- * lane kernels and the kernel selection (batched_kernels.hpp). A
- * layer runs as two-qubit tile passes: the qubits below a cache block
- * pass by pass inside each block, the rest as full-state passes, the
- * first pass carrying the phase (and on layer 0 the uniform start).
+ * lane kernels and the kernel selection (batched_kernels.hpp). A lane
+ * stores the half of its flip-symmetric state with the top qubit 0. A
+ * layer runs as two-qubit tile passes over that half: qubits 0 .. n-3
+ * below a cache block pass by pass inside each block, the rest as
+ * passes over the whole half, then qubits n-2 and n-1 as one flip tile
+ * pass whose top slots are mirrors. The first pass carries the phase (and
+ * on layer 0 the uniform start).
  */
 
 #include "quantum/batched_state.hpp"
@@ -36,7 +39,7 @@ constexpr int kL = kBatchLanes;
  */
 struct TilesScalar
 {
-    template <int W, detail::TileSource S>
+    template <int W, detail::TileSource S, TileSlots F>
     static void
     run(double *re, double *im, std::size_t tile_begin,
         std::size_t tile_end, int q, const double *c, const double *s,
@@ -50,7 +53,7 @@ struct TilesScalar
             double *r[kAmps], *m[kAmps];
             const double *pr[kAmps] = {}, *pi[kAmps] = {};
             for (int j = 0; j < kAmps; ++j) {
-                const std::size_t i = b + static_cast<std::size_t>(j) * step;
+                const std::size_t i = detail::tileSlot<W, F>(b, j, step);
                 r[j] = re + i * kL;
                 m[j] = im + i * kL;
                 if constexpr (S != detail::TileSource::kStored) {
@@ -106,18 +109,20 @@ struct TilesScalar
 
 void
 tilesScalar(double *re, double *im, std::size_t tile_begin,
-            std::size_t tile_end, int q, int width, const double *c,
-            const double *s, const TileLoad &load)
+            std::size_t tile_end, int q, int width, TileSlots slots,
+            const double *c, const double *s, const TileLoad &load)
 {
-    detail::dispatchTiles<TilesScalar>(width, load, re, im, tile_begin,
+    detail::dispatchTiles<TilesScalar>(width, slots, load, re, im, tile_begin,
                                        tile_end, q, c, s);
 }
 
 void
 expectScalar(const double *re, const double *im, const std::int32_t *codes,
-             std::size_t begin, std::size_t end, double *acc)
+             std::size_t begin, std::size_t end, bool mirrored, double *acc)
 {
-    for (std::size_t i = begin; i < end; ++i) {
+    const std::size_t step = mirrored ? ~std::size_t{0} : 1;
+    std::size_t i = mirrored ? end - 1 : begin;
+    for (std::size_t k = begin; k < end; ++k, i += step) {
         const double code = static_cast<double>(codes[i]);
         const double *r = re + i * kL;
         const double *m = im + i * kL;
@@ -186,14 +191,22 @@ constexpr int kL = batched::kBatchLanes;
 constexpr std::size_t kChunkLen = detail::kStateChunkLen;
 
 /**
+ * Stored amplitudes per pool chunk of a tile pass: half a reduction
+ * chunk, so a pass over the stored half spreads over as many chunks as
+ * a full-state pass would.
+ */
+constexpr std::size_t kPassChunk = kChunkLen / 2;
+
+/**
  * Cache block of the tiled mixer: 2^10 amplitudes * kL lanes * 16 bytes
  * = 128 KiB of lane data, L2-resident. Even, so no two-qubit tile
  * straddles a block edge: the qubits below it run as tile passes
- * inside each block in turn, the rest as full-state tile passes.
- * Blocking never changes values.
+ * inside each block in turn, the rest as tile passes over the whole
+ * stored half. Blocking never changes values.
  */
 constexpr int kBatchBlockQubits = 10;
 
+using batched::TileSlots;
 using detail::intraStateParallel;
 
 } // namespace
@@ -203,8 +216,8 @@ BatchedStateSet::resetUniform(int num_qubits)
 {
     assert(num_qubits >= 0 && num_qubits < 30);
     numQubits_ = num_qubits;
-    re_.resize(dim() * kL);
-    im_.resize(dim() * kL);
+    re_.resize(storedDim() * kL);
+    im_.resize(storedDim() * kL);
     startPending_ = true;
 }
 
@@ -215,6 +228,7 @@ BatchedStateSet::applyLayer(std::span<const std::int32_t> codes,
                             std::span<const double> thetas)
 {
     const std::size_t n = dim();
+    const std::size_t half = storedDim();
     assert(codes.size() == n);
     assert(thetas.size() == static_cast<std::size_t>(kL));
     // Per-lane c/s computed exactly as Statevector::applyRxAll does.
@@ -234,46 +248,65 @@ BatchedStateSet::applyLayer(std::span<const std::int32_t> codes,
     double *re = re_.data();
     double *im = im_.data();
     const batched::KernelOps &ops = batched::activeKernels();
+    // fn(begin, end) over [0, count) units of 2^w stored amplitudes,
+    // chunked over the pool when the full state is large enough.
     const bool pooled = intraStateParallel(n);
-
-    // Qubits below the block: every tile pass of one block before the
-    // next block, the first pass with the phase (qubits below the block
-    // size never pair across blocks).
-    const int low = std::min(numQubits_, kBatchBlockQubits);
-    const std::size_t block = std::size_t{1} << low;
-    auto blocked = [&](std::size_t bbegin, std::size_t bend) {
-        for (std::size_t b = bbegin; b < bend; ++b) {
-            batched::TileLoad load = first;
-            load.codes += b * block;
-            int q = 0;
-            do {
-                const int w = std::min(2, low - q);
-                ops.tiles(re + b * block * kL, im + b * block * kL, 0,
-                          block >> w, q, w, c, s, load);
-                load = stored;
-                q += 2;
-            } while (q < low);
-        }
-    };
-    if (pooled)
-        parallelForChunks(n / block, blocked,
-                          std::max<std::size_t>(1, kChunkLen / block));
-    else
-        blocked(0, n / block);
-
-    // Higher qubits: one full-state tile pass per two of them.
-    for (int q = low; q < numQubits_; q += 2) {
-        const int w = std::min(2, numQubits_ - q);
+    auto spread = [&](std::size_t count, int w, auto &&fn) {
         if (pooled)
-            parallelForChunks(
-                n >> w,
-                [&](std::size_t tb, std::size_t te) {
-                    ops.tiles(re, im, tb, te, q, w, c, s, stored);
-                },
-                kChunkLen >> w);
+            parallelForChunks(count, fn,
+                              std::max<std::size_t>(1, kPassChunk >> w));
         else
-            ops.tiles(re, im, 0, n >> w, q, w, c, s, stored);
+            fn(0, count);
+    };
+
+    // Qubits 0 .. n-3 as plain passes over the stored half (a 0-qubit
+    // state runs its load-only tile here). The qubits below the block
+    // run every pass of one block before the next block, the first pass
+    // with the phase (qubits below the block size never pair across
+    // blocks); the rest run one pass over the whole half per two.
+    const int plain = std::max(0, numQubits_ - 2);
+    if (plain > 0 || numQubits_ == 0) {
+        const int low = std::min(plain, kBatchBlockQubits);
+        const std::size_t block = std::size_t{1} << low;
+        spread(half >> low, low, [&](std::size_t bbegin, std::size_t bend) {
+            for (std::size_t b = bbegin; b < bend; ++b) {
+                batched::TileLoad load = first;
+                load.codes += b * block;
+                int q = 0;
+                do {
+                    const int w = std::min(2, low - q);
+                    ops.tiles(re + b * block * kL, im + b * block * kL, 0,
+                              block >> w, q, w, TileSlots::kPlain, c, s,
+                              load);
+                    load = stored;
+                    q += 2;
+                } while (q < low);
+            }
+        });
+        for (int q = low; q < plain; q += 2) {
+            const int w = std::min(2, plain - q);
+            spread(half >> w, w, [&](std::size_t tb, std::size_t te) {
+                ops.tiles(re, im, tb, te, q, w, TileSlots::kPlain, c, s,
+                          stored);
+            });
+        }
     }
+    if (numQubits_ == 0)
+        return;
+
+    // Qubits n-2 and n-1 as one flip tile pass (the layer's first pass
+    // for n <= 2; one qubit for n = 1, where amplitude 0 pairs with
+    // itself). Tiles b and (2^(n-2) - 1) ^ b hold the same four
+    // amplitudes, so only b < 2^(n-3) run: on a pool, a range with
+    // both would write them from two threads. At n = 2 the one tile's
+    // slots alias {0, 1, 1, 0}.
+    const int w = std::min(2, numQubits_);
+    const batched::TileLoad &load = plain > 0 ? stored : first;
+    auto flipTiles = [&](std::size_t tb, std::size_t te) {
+        ops.tiles(re, im, tb, te, numQubits_ - w, w, TileSlots::kFlip, c, s,
+                  load);
+    };
+    spread(std::max<std::size_t>(1, half >> 2), w, flipTiles);
 }
 
 void
@@ -281,6 +314,7 @@ BatchedStateSet::expectationFromCodes(std::span<const std::int32_t> codes,
                                       std::span<double> out)
 {
     const std::size_t n = dim();
+    const std::size_t half = storedDim();
     if (startPending_) {
         // No layer ran (depth 0): the lanes are the uniform start.
         std::fill(re_.begin(), re_.end(),
@@ -294,12 +328,25 @@ BatchedStateSet::expectationFromCodes(std::span<const std::int32_t> codes,
     const double *im = im_.data();
     const std::int32_t *cd = codes.data();
     const batched::KernelOps &ops = batched::activeKernels();
-    // The scalar chunkedSum shape, per lane: serial single accumulator
-    // below the parallel threshold / on a 1-thread pool; fixed-chunk
-    // partials combined in chunk order otherwise.
+    // Full indices [begin, end) within one half, in ascending order:
+    // index i >= half is its mirror n - 1 - i, whose code is the same
+    // (MaxCut codes are flip-symmetric), so the upper half walks the
+    // stored amplitudes downward.
+    auto readout = [&](std::size_t begin, std::size_t end, double *acc) {
+        assert(end <= half || begin >= half);
+        if (end <= half)
+            ops.expect(re, im, cd, begin, end, false, acc);
+        else
+            ops.expect(re, im, cd, n - end, n - begin, true, acc);
+    };
+    // The scalar chunkedSum shape over the full 2^n, per lane: serial
+    // single accumulator below the parallel threshold / on a 1-thread
+    // pool; fixed-chunk partials combined in chunk order otherwise
+    // (from 2^14 amplitudes every chunk lies in one half).
     if (!intraStateParallel(n)) {
         double acc[kL] = {};
-        ops.expect(re, im, cd, 0, n, acc);
+        readout(0, half, acc);
+        readout(half, n, acc);
         std::copy(acc, acc + kL, out.begin());
         return;
     }
@@ -309,8 +356,7 @@ BatchedStateSet::expectationFromCodes(std::span<const std::int32_t> codes,
     double *partials = partial_scratch.data();
     parallelFor(chunks, [&, partials](std::size_t ch) {
         const std::size_t begin = ch * kChunkLen;
-        ops.expect(re, im, cd, begin, std::min(n, begin + kChunkLen),
-                   partials + ch * kL);
+        readout(begin, std::min(n, begin + kChunkLen), partials + ch * kL);
     });
     for (int l = 0; l < kL; ++l) {
         double total = 0.0;

@@ -14,6 +14,23 @@
  * and its first pass applies the cost layer's phase on load; the
  * first layer also reads the uniform start instead of a stored state.
  *
+ * Half-state lanes: a lane stores only the amplitudes whose top qubit
+ * is 0. MaxCut's cut value is invariant under flipping every bit,
+ * cut(z) == cut(~z), so the phase pass multiplies a(z) and a(~z) by the
+ * same table entry; qubit q's butterfly maps the pair (z, z ^ 2^q) and
+ * its mirror pair (~z, ~z ^ 2^q) through the same mul/add/sub sequence
+ * on equal operands; and the uniform start is symmetric. By induction
+ * a(z) and a(~z) are equal bit for bit after every step of the
+ * full-state sweep, so amplitude i >= 2^(n-1) is read from its stored
+ * mirror (2^n - 1) ^ i. Qubits 0 .. n-3 run as plain tile passes over
+ * the stored half; one flip tile pass then applies qubit n-2 and after
+ * it qubit n-1, whose partner of z is stored at its mirror. Per
+ * amplitude the qubit order stays 0, 1, ..., n-1. The readout sums in
+ * full index order, the upper half read from its mirrors. This holds
+ * for cut-table codes only: a cost with a linear term (a field on
+ * single qubits, e.g. a QUBO) breaks the symmetry, and such codes must
+ * not reach the lanes.
+ *
  * Contract: every lane evolves through EXACTLY the arithmetic the
  * scalar path (applyQaoaLayers + Statevector::expectationFromCodes on
  * scratchUniformState) performs for that point — same per-operation
@@ -41,9 +58,11 @@ namespace redqaoa {
 struct QaoaParams;
 
 /**
- * kBatchLanes dense statevectors in struct-of-arrays form: plane
- * index i * kBatchLanes + lane holds lane's amplitude i (re_ and im_
- * planes). All kernels advance every lane at once.
+ * kBatchLanes flip-symmetric statevectors in struct-of-arrays form:
+ * plane index i * kBatchLanes + lane holds lane's amplitude i for the
+ * storedDim() amplitudes with the top qubit 0 (re_ and im_ planes);
+ * amplitude i >= storedDim() equals stored amplitude dim() - 1 - i.
+ * All kernels advance every lane at once.
  */
 class BatchedStateSet
 {
@@ -68,15 +87,24 @@ class BatchedStateSet
     }
 
     /**
+     * Amplitudes stored per lane: the half with the top qubit 0
+     * (2^(numQubits - 1)), or the one amplitude of a 0-qubit state.
+     */
+    std::size_t storedDim() const { return numQubits_ == 0 ? 1 : dim() / 2; }
+
+    /**
      * One QAOA layer per lane: the cost layer (lane's amplitude i times
      * its phase-table entry for codes[i]; tables lane-major as
      * buildPhaseTablesSoA lays them out) then RX(thetas[lane]) on every
      * qubit, bit-identical per lane to Statevector::applyPhaseTable
      * followed by Statevector::applyRxAll. The mixer runs as two-qubit
-     * tile passes (batched_kernels.hpp), the qubits below a 2^10-
-     * amplitude cache block inside each block in turn and the rest as
-     * full-state passes; the layer's first pass applies the phase on
-     * load. @p thetas has kBatchLanes entries.
+     * tile passes (batched_kernels.hpp) over the stored half: qubits
+     * 0 .. n-3 below a 2^10-amplitude cache block inside each block in
+     * turn and the rest as passes over the whole half, then qubits n-2
+     * and n-1 as one flip tile pass; the layer's first pass applies the
+     * phase on load. @p codes are the full 2^n cut codes (only the
+     * stored half is read) and must be flip-symmetric (see file
+     * comment). @p thetas has kBatchLanes entries.
      */
     void applyLayer(std::span<const std::int32_t> codes,
                     std::span<const double> pre,
@@ -87,9 +115,11 @@ class BatchedStateSet
      * out[lane] = sum_i |amp_i|^2 * codes[i] for each lane, with the
      * reduction shaped exactly like the scalar chunked sum (see file
      * comment) so every lane matches
-     * Statevector::expectationFromCodes byte-for-byte. @p out has
-     * kBatchLanes entries. A set that ran no layer since its reset
-     * writes its uniform start first.
+     * Statevector::expectationFromCodes byte-for-byte: the stored
+     * half ascending, then the upper half as its mirrors, descending.
+     * Codes are read at the stored index (the same value, for
+     * flip-symmetric codes). @p out has kBatchLanes entries. A set that
+     * ran no layer since its reset writes its uniform start first.
      */
     void expectationFromCodes(std::span<const std::int32_t> codes,
                               std::span<double> out);
@@ -138,12 +168,19 @@ planLaneGroups(std::span<const QaoaParams *const> points);
 
 /**
  * Sweep one group on the calling thread's lane set (a thread-local
- * BatchedStateSet, 2^num_qubits * kBatchLanes complex amplitudes):
- * out[group.outIdx[l]] = <H_c> at group.pts[l] for l < group.count,
- * byte-identical to QaoaSimulator::expectation at every thread count.
- * Groups of one plan may run concurrently on distinct threads.
+ * BatchedStateSet, 2^(num_qubits - 1) * kBatchLanes complex
+ * amplitudes): out[group.outIdx[l]] = <H_c> at group.pts[l] for
+ * l < group.count, byte-identical to QaoaSimulator::expectation at
+ * every thread count. Groups of one plan may run concurrently on
+ * distinct threads.
  *
- * @p codes / @p max_code are the graph's CutTable fields.
+ * @p codes / @p max_code are the graph's CutTable fields (makeCutTable).
+ * Precondition: codes[z] == codes[z ^ (2^num_qubits - 1)] for every z,
+ * which every cut table satisfies. The lanes store half of each state
+ * on that symmetry (see file comment), so the codes of a cost with a
+ * linear term (single-qubit fields, as in a general QUBO) would give
+ * wrong values here. Only ExactEvaluator (lanePlan, sweepLanes,
+ * batchExpectationInto) reaches the lanes, with its MaxCut table.
  */
 void sweepLaneGroup(std::span<const std::int32_t> codes, int max_code,
                     int num_qubits, const LaneGroup &group,

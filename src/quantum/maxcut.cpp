@@ -86,16 +86,6 @@ makeCutTable(const Graph &g)
     return table;
 }
 
-std::vector<double>
-cutTable(const Graph &g)
-{
-    CutTable table = makeCutTable(g);
-    std::vector<double> out(table.codes.size());
-    for (std::size_t z = 0; z < out.size(); ++z)
-        out[z] = static_cast<double>(table.codes[z]);
-    return out;
-}
-
 void
 applyQaoaLayers(Statevector &psi, const CutTable &table,
                 const QaoaParams &params)

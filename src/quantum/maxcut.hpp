@@ -65,9 +65,6 @@ struct CutTable
 /** Cut table for all 2^n basis states (n <= 26 enforced). */
 CutTable makeCutTable(const Graph &g);
 
-/** The cut table as doubles (historical API; equals makeCutTable). */
-std::vector<double> cutTable(const Graph &g);
-
 /**
  * Apply the p QAOA layers in @p params to @p psi: per layer the cost
  * unitary exp(-i gamma H_c) via a phase-table lookup (per-thread table

@@ -18,7 +18,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <span>
+#include <string_view>
 
 #include "common/thread_pool.hpp"
 #include "graph/generators.hpp"
@@ -505,10 +507,11 @@ TEST(KernelEquivalence, CutTableCodesMatchCutValue)
     EXPECT_EQ(table.maxCode, g.numEdges());
     for (std::uint64_t z = 0; z < table.codes.size(); ++z)
         ASSERT_EQ(table.codes[z], cutValue(g, z));
-    // Double-table API agrees entry for entry.
-    std::vector<double> doubles = cutTable(g);
-    for (std::size_t z = 0; z < doubles.size(); ++z)
-        ASSERT_EQ(doubles[z], static_cast<double>(table.codes[z]));
+    // Flip symmetry, which the half-state lanes rely on: every cut is
+    // the same with every bit flipped.
+    const std::uint64_t all = table.codes.size() - 1;
+    for (std::uint64_t z = 0; z < table.codes.size(); ++z)
+        ASSERT_EQ(table.codes[z], table.codes[z ^ all]) << "z=" << z;
 }
 
 TEST(KernelEquivalence, SampleIntoMatchesSample)
@@ -706,11 +709,13 @@ TEST(BatchedKernels, GoldenAndBitIdenticalToScalarPath)
             EXPECT_EQ(got[i], direct.expectation(pts[i]))
                 << ops->name << " point " << i;
 
-        // Every n from 0 to 14: odd counts end in a one-qubit tile
-        // pass (n = 0 runs the load-only tile), n = 9, 10 and 11..14
-        // sit below, at and above the 2^10-amplitude tile block, and at
-        // 4 threads n = 14 spreads its passes over the pool. A depth-0
-        // point reads the uniform start itself.
+        // Every n from 0 to 14: n = 0 runs the load-only tile, n = 1
+        // and 2 the flip tile alone (its slots aliasing), odd n >= 3
+        // end their plain passes in a one-qubit pass, n = 11, 12 and
+        // 13..14 put their n - 2 plain qubits below, at and above the
+        // 2^10-amplitude tile block, and at 4 threads n = 14 takes the
+        // chunked readout. A depth-0 point reads the uniform start
+        // itself.
         for (int threads : {1, 4}) {
             ThreadPool::setGlobalThreads(threads);
             for (int n = 0; n <= 14; ++n) {
@@ -726,6 +731,21 @@ TEST(BatchedKernels, GoldenAndBitIdenticalToScalarPath)
                         << ops->name << " threads=" << threads
                         << " n=" << n << " point " << i;
             }
+            // The half-state lanes' flip symmetry needs no
+            // connectivity: n = 12 with vertices 8..11 isolated.
+            Rng irng(3012);
+            const Graph core = gen::connectedGnp(8, 0.5, irng);
+            Graph isolated(12);
+            for (const Edge &e : core.edges())
+                isolated.addEdge(e.u, e.v);
+            Rng iprng(4012);
+            std::vector<QaoaParams> pI = mixedDepthPoints(iprng, 9, 4);
+            std::vector<double> gotI = batchedValues(isolated, pI);
+            ExactEvaluator directI(isolated);
+            for (std::size_t i = 0; i < pI.size(); ++i)
+                EXPECT_EQ(gotI[i], directI.expectation(pI[i]))
+                    << ops->name << " threads=" << threads
+                    << " isolated vertices, point " << i;
         }
         ThreadPool::setGlobalThreads(1);
     }
@@ -742,7 +762,7 @@ TEST(BatchedKernels, ByteIdenticalAcrossPoolsOnLargeState)
     Graph g = gen::connectedGnp(16, 0.25, rng);
     Rng prng(321);
     std::vector<QaoaParams> pts = mixedDepthPoints(prng, 6, 5);
-    // n = 15 ends in a one-qubit tile pass spread over the pool.
+    // n = 15's plain passes end in a one-qubit tile pass.
     Rng rng15(78);
     Graph g15 = gen::connectedGnp(15, 0.25, rng15);
 
@@ -761,6 +781,32 @@ TEST(BatchedKernels, ByteIdenticalAcrossPoolsOnLargeState)
         }
         // And the multi-thread pools agree among themselves exactly.
         EXPECT_EQ(multi[0], multi[1]);
+    }
+}
+
+TEST(BatchedKernels, LoneGroupSpreadsItsPassesOverThePool)
+{
+    // A batch of one lane group sweeps on the calling thread, so from
+    // 2^14 amplitudes its kernels chunk every pass over the pool (the
+    // flip pass over tile indices); the groups of a larger batch fan
+    // out and run their passes inline. Under ThreadSanitizer this is
+    // the case that would show two chunks writing one amplitude.
+    ThreadGuard guard;
+    for (int n : {14, 15, 16}) {
+        Rng grng(static_cast<std::uint64_t>(5000 + n));
+        Graph g = gen::connectedGnp(n, 0.25, grng);
+        Rng prng(static_cast<std::uint64_t>(6000 + n));
+        std::vector<QaoaParams> pts =
+            mixedDepthPoints(prng, 0, batched::kBatchLanes);
+        for (int threads : {2, 4, 8}) {
+            ThreadPool::setGlobalThreads(threads);
+            ASSERT_TRUE(laneSweepUsesPool(n));
+            std::vector<double> got = batchedValues(g, pts);
+            QaoaSimulator sim(g);
+            for (std::size_t i = 0; i < pts.size(); ++i)
+                EXPECT_EQ(got[i], sim.expectation(pts[i]))
+                    << "n=" << n << " threads=" << threads << " i=" << i;
+        }
     }
 }
 
@@ -795,8 +841,12 @@ TEST(BatchedKernels, EnvOverrideAndForcePinSelection)
     batched::forceKernels(&batched::scalarKernels());
     EXPECT_STREQ(batched::activeKernels().name, "scalar");
     batched::forceKernels(nullptr);
+    // The automatic choice: scalar under REDQAOA_BATCHED_KERNELS=scalar,
+    // otherwise AVX2 when it is available.
+    const char *env = std::getenv("REDQAOA_BATCHED_KERNELS");
+    const bool wantScalar = env && std::string_view(env) == "scalar";
     const batched::KernelOps &active = batched::activeKernels();
-    if (batched::avx2Kernels())
+    if (batched::avx2Kernels() && !wantScalar)
         EXPECT_STREQ(active.name, "avx2");
     else
         EXPECT_STREQ(active.name, "scalar");
