@@ -31,15 +31,16 @@ constexpr int kBlockQubits = 11;
 using detail::intraStateParallel;
 
 /**
- * chunk(begin, end) over [0, n): parallel when the state is large and
- * the pool is multi-threaded, inline otherwise. Only for element-wise
- * updates, whose values do not depend on the partition.
+ * chunk(begin, end) over the @p n stored amplitudes of a 2^n = @p dim
+ * state: parallel when the state is large and the pool is
+ * multi-threaded, inline otherwise. Only for element-wise updates, whose
+ * values do not depend on the partition.
  */
 template <typename Chunk>
 void
-forAmpChunks(std::size_t n, Chunk &&chunk)
+forAmpChunks(std::size_t dim, std::size_t n, Chunk &&chunk)
 {
-    if (intraStateParallel(n))
+    if (intraStateParallel(dim))
         parallelForChunks(n, chunk, kChunkLen);
     else
         chunk(0, n);
@@ -116,6 +117,55 @@ rxPassParallel(Complex *amps, std::size_t n, std::size_t step, double c,
             }
         },
         kChunkLen / 2);
+}
+
+/**
+ * The Pauli-Y butterfly: Y = [[0, -i], [i, 0]] as a swap with sign
+ * flips. The 0 * v terms are the zero products the generic 2x2 path
+ * adds (with -i = (-0, -1)), kept so that zero components keep the signs
+ * apply1Q gave them; they never change a nonzero value.
+ */
+inline void
+yButterfly(Complex &a0, Complex &a1)
+{
+    const double x = a0.real(), y = a0.imag();
+    const double c = a1.real(), d = a1.imag();
+    const double zx = 0.0 * x, zy = 0.0 * y;
+    const double zc = 0.0 * c, zd = 0.0 * d;
+    a0 = Complex{(zx - zy) + (d - zc), (zy + zx) + (-zd - c)};
+    a1 = Complex{(zx - y) + (zc - zd), (zy + x) + (zd + zc)};
+}
+
+/**
+ * The top qubit's pass over a mirrored state's @p half stored
+ * amplitudes: stored z (top bit 0) pairs with z + 2^(n-1), which is
+ * sign * amps[m] at its mirror m = half - 1 - z, and m pairs likewise
+ * with sign * amps[z]. So one visit of z < m loads both and keeps the
+ * a0 output of butterfly(a0, a1) for each; at n = 1 amplitude 0 is its
+ * own mirror. Chunks of z touch disjoint z and m ranges.
+ */
+template <typename Butterfly>
+void
+mirrorPairPass(Complex *amps, std::size_t half, double sign, bool parallel,
+               Butterfly &&butterfly)
+{
+    auto pairs = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t z = begin; z < end; ++z) {
+            const std::size_t m = half - 1 - z;
+            const Complex az = amps[z], am = amps[m];
+            Complex z0 = az, z1{sign * am.real(), sign * am.imag()};
+            Complex m0 = am, m1{sign * az.real(), sign * az.imag()};
+            butterfly(z0, z1);
+            butterfly(m0, m1);
+            amps[z] = z0;
+            amps[m] = m0;
+        }
+    };
+    const std::size_t visits = (half + 1) / 2;
+    if (parallel)
+        parallelForChunks(visits, pairs, kChunkLen / 2);
+    else
+        pairs(0, visits);
 }
 
 /** One 1q-unitary butterfly (generic complex 2x2). */
@@ -217,26 +267,30 @@ Statevector::Statevector(int num_qubits)
 }
 
 Statevector
-Statevector::uniform(int num_qubits)
+Statevector::uniform(int num_qubits, StateLayout layout)
 {
-    Statevector s(num_qubits);
-    s.resetUniform(num_qubits);
+    Statevector s(0);
+    s.resetUniform(num_qubits, layout);
     return s;
 }
 
 void
-Statevector::resetUniform(int num_qubits)
+Statevector::resetUniform(int num_qubits, StateLayout layout)
 {
     assert(num_qubits >= 0 && num_qubits < 30);
     numQubits_ = num_qubits;
+    mirrored_ = layout == StateLayout::kMirrored;
+    sign_ = 1.0;
     const std::size_t dim = static_cast<std::size_t>(1) << num_qubits;
     const double a = 1.0 / std::sqrt(static_cast<double>(dim));
-    amps_.assign(dim, Complex{a, 0.0});
+    amps_.assign(mirrored_ && num_qubits > 0 ? dim / 2 : dim,
+                 Complex{a, 0.0});
 }
 
 void
 Statevector::apply1Q(int q, const Gate1Q &u)
 {
+    assert(!mirrored_);
     const std::size_t step = static_cast<std::size_t>(1) << q;
     const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
@@ -269,8 +323,14 @@ Statevector::applyH(int q)
 void
 Statevector::applyX(int q)
 {
-    const std::size_t step = static_cast<std::size_t>(1) << q;
     const std::size_t n = amps_.size();
+    if (isMirroredTop(q)) {
+        auto swap = [](Complex &a0, Complex &a1) { std::swap(a0, a1); };
+        mirrorPairPass(amps_.data(), n, sign_, intraStateParallel(dim()),
+                       swap);
+        return;
+    }
+    const std::size_t step = static_cast<std::size_t>(1) << q;
     for (std::size_t base = 0; base < n; base += 2 * step)
         for (std::size_t i = base; i < base + step; ++i)
             std::swap(amps_[i], amps_[i + step]);
@@ -279,30 +339,31 @@ Statevector::applyX(int q)
 void
 Statevector::applyY(int q)
 {
-    // Y = [[0, -i], [i, 0]]: a swap with sign flips. The 0 * v terms are
-    // the zero products the generic 2x2 path adds (with -i = (-0, -1)),
-    // kept so that zero components keep the signs apply1Q gave them;
-    // they never change a nonzero value.
-    const std::size_t step = static_cast<std::size_t>(1) << q;
     const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
-    for (std::size_t base = 0; base < n; base += 2 * step) {
-        for (std::size_t i = base; i < base + step; ++i) {
-            const double x = amps[i].real(), y = amps[i].imag();
-            const double c = amps[i + step].real();
-            const double d = amps[i + step].imag();
-            const double zx = 0.0 * x, zy = 0.0 * y;
-            const double zc = 0.0 * c, zd = 0.0 * d;
-            amps[i] = Complex{(zx - zy) + (d - zc), (zy + zx) + (-zd - c)};
-            amps[i + step] =
-                Complex{(zx - y) + (zc - zd), (zy + x) + (zd + zc)};
-        }
+    if (isMirroredTop(q)) {
+        mirrorPairPass(amps, n, sign_, intraStateParallel(dim()),
+                       yButterfly);
+    } else {
+        const std::size_t step = static_cast<std::size_t>(1) << q;
+        for (std::size_t base = 0; base < n; base += 2 * step)
+            for (std::size_t i = base; i < base + step; ++i)
+                yButterfly(amps[i], amps[i + step]);
     }
+    // Y anticommutes with the global flip.
+    if (mirrored_)
+        sign_ = -sign_;
 }
 
 void
 Statevector::applyZ(int q)
 {
+    // Z anticommutes with the global flip; on the top qubit it only
+    // negates amplitudes that a mirrored state does not store.
+    if (mirrored_)
+        sign_ = -sign_;
+    if (isMirroredTop(q))
+        return;
     const std::size_t step = static_cast<std::size_t>(1) << q;
     const std::size_t n = amps_.size();
     for (std::size_t base = 0; base < n; base += 2 * step)
@@ -313,10 +374,22 @@ Statevector::applyZ(int q)
 void
 Statevector::applyRx(int q, double theta)
 {
-    const double c = std::cos(theta / 2.0);
-    const double s = std::sin(theta / 2.0);
+    applyRx(q, std::cos(theta / 2.0), std::sin(theta / 2.0));
+}
+
+void
+Statevector::applyRx(int q, double c, double s)
+{
+    const bool parallel = intraStateParallel(dim());
+    if (isMirroredTop(q)) {
+        auto rx = [c, s](Complex &a0, Complex &a1) {
+            rxButterfly(a0, a1, c, s);
+        };
+        mirrorPairPass(amps_.data(), amps_.size(), sign_, parallel, rx);
+        return;
+    }
     const std::size_t step = static_cast<std::size_t>(1) << q;
-    if (intraStateParallel(amps_.size()))
+    if (parallel)
         rxPassParallel(amps_.data(), amps_.size(), step, c, s);
     else
         rxPass(amps_.data(), amps_.size(), step, c, s);
@@ -334,12 +407,13 @@ Statevector::applyRy(int q, double theta)
 void
 Statevector::applyRz(int q, double theta)
 {
+    assert(!mirrored_);
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
     const Complex mul[2] = {Complex{c, -s}, Complex{c, s}};
     const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
-    forAmpChunks(n, [&](std::size_t begin, std::size_t end) {
+    forAmpChunks(n, n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
             amps[i] = mulFinite(amps[i], mul[(i >> q) & 1u]);
     });
@@ -348,6 +422,7 @@ Statevector::applyRz(int q, double theta)
 void
 Statevector::applyCnot(int c, int t)
 {
+    assert(!mirrored_);
     const std::uint64_t cbit = static_cast<std::uint64_t>(1) << c;
     const std::uint64_t tbit = static_cast<std::uint64_t>(1) << t;
     const std::size_t n = amps_.size();
@@ -368,11 +443,15 @@ Statevector::applyRzzBatch(std::span<const RzzTerm> terms)
 {
     // Tile width: adaptive so the phase-product table build never
     // rivals the state pass itself (table <= dim/4 entries), capped at
-    // 2^8 = 4 KiB (L1-resident).
+    // 2^8 = 4 KiB (L1-resident). Keyed on the full dim in either layout:
+    // a different tiling rounds the phase products differently. A term
+    // on a mirrored state's top qubit reads that bit as 0 over the
+    // stored half, and its mirror has both parity bits flipped.
+    const std::size_t dim = this->dim();
     const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
     std::size_t group = 8;
-    while (group > 1 && (std::size_t{1} << group) > n / 4)
+    while (group > 1 && (std::size_t{1} << group) > dim / 4)
         --group;
     for (std::size_t offset = 0; offset < terms.size(); offset += group) {
         const std::size_t k = std::min(group, terms.size() - offset);
@@ -400,7 +479,7 @@ Statevector::applyRzzBatch(std::span<const RzzTerm> terms)
         // The table row steps with i (ParitySteps), so the per-amplitude
         // cost is one ctz + xor + lookup + multiply, independent of the
         // tile width.
-        forAmpChunks(n, [&](std::size_t begin, std::size_t end) {
+        forAmpChunks(dim, n, [&](std::size_t begin, std::size_t end) {
             std::uint8_t idx = steps.at(begin);
             for (std::size_t i = begin; i < end; ++i) {
                 amps[i] = mulFinite(amps[i], table[idx]);
@@ -417,7 +496,7 @@ Statevector::applyRzz0(const RzzTerm &t)
     const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
     const int a = t.a, b = t.b;
-    forAmpChunks(n, [&](std::size_t begin, std::size_t end) {
+    forAmpChunks(dim(), n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
             amps[i] = mulFinite(amps[i], mul[((i >> a) ^ (i >> b)) & 1u]);
     });
@@ -426,9 +505,10 @@ Statevector::applyRzz0(const RzzTerm &t)
 void
 Statevector::applyDiagonalPhase(const std::vector<double> &diag, double angle)
 {
-    assert(diag.size() == amps_.size());
+    assert(!mirrored_ && diag.size() == amps_.size());
+    const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
-    forAmpChunks(amps_.size(), [&](std::size_t begin, std::size_t end) {
+    forAmpChunks(n, n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
             double phi = -angle * diag[i];
             amps[i] = mulFinite(amps[i],
@@ -441,9 +521,10 @@ void
 Statevector::applyPhaseTable(std::span<const std::int32_t> codes,
                              std::span<const Complex> phases)
 {
-    assert(codes.size() == amps_.size());
+    assert(!mirrored_ && codes.size() == amps_.size());
+    const std::size_t n = amps_.size();
     Complex *amps = amps_.data();
-    forAmpChunks(amps_.size(), [&](std::size_t begin, std::size_t end) {
+    forAmpChunks(n, n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
             amps[i] = mulFinite(amps[i],
                                 phases[static_cast<std::size_t>(codes[i])]);
@@ -453,6 +534,7 @@ Statevector::applyPhaseTable(std::span<const std::int32_t> codes,
 void
 Statevector::applyRxAll(double theta)
 {
+    assert(!mirrored_);
     const double c = std::cos(theta / 2.0);
     const double s = std::sin(theta / 2.0);
     const std::size_t n = amps_.size();
@@ -492,6 +574,7 @@ Statevector::applyRxAll(double theta)
 double
 Statevector::norm2() const
 {
+    assert(!mirrored_);
     const Complex *amps = amps_.data();
     return chunkedSum(amps_.size(), [&](std::size_t begin, std::size_t end) {
         double s = 0.0;
@@ -504,9 +587,11 @@ Statevector::norm2() const
 std::vector<double>
 Statevector::probabilities() const
 {
-    std::vector<double> p(amps_.size());
+    assert(!mirrored_);
+    const std::size_t n = amps_.size();
+    std::vector<double> p(n);
     const Complex *amps = amps_.data();
-    forAmpChunks(amps_.size(), [&](std::size_t begin, std::size_t end) {
+    forAmpChunks(n, n, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i)
             p[i] = std::norm(amps[i]);
     });
@@ -516,6 +601,7 @@ Statevector::probabilities() const
 double
 Statevector::zzExpectation(int a, int b) const
 {
+    assert(!mirrored_);
     const Complex *amps = amps_.data();
     return chunkedSum(amps_.size(), [&](std::size_t begin, std::size_t end) {
         double s = 0.0;
@@ -530,6 +616,7 @@ Statevector::zzExpectation(int a, int b) const
 double
 Statevector::zExpectation(int q) const
 {
+    assert(!mirrored_);
     const Complex *amps = amps_.data();
     return chunkedSum(amps_.size(), [&](std::size_t begin, std::size_t end) {
         double s = 0.0;
@@ -549,7 +636,7 @@ Statevector::zAndZzExpectations(std::span<const std::pair<int, int>> pairs,
     assert(z_out.empty() ||
            z_out.size() == static_cast<std::size_t>(numQubits_));
     assert(zz_out.size() == pairs.size());
-    const std::size_t dim = amps_.size();
+    const std::size_t dim = this->dim();
     const std::size_t nz = z_out.size();
     const std::size_t ne = pairs.size();
     const std::size_t outs = nz + ne;
@@ -577,15 +664,20 @@ Statevector::zAndZzExpectations(std::span<const std::pair<int, int>> pairs,
 
     // Each accumulator adds its +-|amp|^2 terms in index order, exactly
     // as a per-output loop would: the sign is applied by XOR-ing the
-    // sign bit from the pattern's row, with no branch per term.
+    // sign bit from the pattern's row, with no branch per term. A
+    // mirrored state's index i >= stored is read at dim - 1 - i.
     const Complex *amps = amps_.data();
-    auto accumulate = [amps, blocks, steps](std::size_t begin,
-                                            std::size_t end, double *acc) {
+    const std::size_t stored = amps_.size();
+    auto accumulate = [=](std::size_t begin, std::size_t end, double *acc) {
         double pr[kReadoutTile];
         for (std::size_t tile = begin; tile < end; tile += kReadoutTile) {
             const std::size_t len = std::min(end - tile, kReadoutTile);
-            for (std::size_t j = 0; j < len; ++j)
+            const std::size_t below =
+                std::min(len, stored - std::min(stored, tile));
+            for (std::size_t j = 0; j < below; ++j)
                 pr[j] = std::norm(amps[tile + j]);
+            for (std::size_t j = below; j < len; ++j)
+                pr[j] = std::norm(amps[dim - 1 - (tile + j)]);
             for (std::size_t b = 0; b < blocks; ++b) {
                 const ParitySteps &ps = steps[b];
                 double *block_acc = acc + b * kReadoutBlock;
@@ -632,7 +724,7 @@ Statevector::zAndZzExpectations(std::span<const std::pair<int, int>> pairs,
 double
 Statevector::expectationFromTable(std::span<const double> diag) const
 {
-    assert(diag.size() == amps_.size());
+    assert(!mirrored_ && diag.size() == amps_.size());
     const Complex *amps = amps_.data();
     return chunkedSum(amps_.size(), [&](std::size_t begin, std::size_t end) {
         double s = 0.0;
@@ -645,7 +737,7 @@ Statevector::expectationFromTable(std::span<const double> diag) const
 double
 Statevector::expectationFromCodes(std::span<const std::int32_t> codes) const
 {
-    assert(codes.size() == amps_.size());
+    assert(!mirrored_ && codes.size() == amps_.size());
     const Complex *amps = amps_.data();
     return chunkedSum(amps_.size(), [&](std::size_t begin, std::size_t end) {
         double s = 0.0;
@@ -669,13 +761,20 @@ Statevector::sampleInto(int shots, Rng &rng,
 {
     // Cumulative distribution + binary search per shot; the table is
     // per-thread scratch so batch sweeps do not allocate it each call.
-    const std::size_t dim = amps_.size();
+    // It covers the full index order, a mirrored state's index
+    // i >= stored read at dim - 1 - i.
+    const std::size_t dim = this->dim();
+    const std::size_t stored = amps_.size();
     thread_local std::vector<double> cdf_scratch;
     cdf_scratch.resize(dim);
     double *cdf = cdf_scratch.data();
     double acc = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t i = 0; i < stored; ++i) {
         acc += std::norm(amps_[i]);
+        cdf[i] = acc;
+    }
+    for (std::size_t i = stored; i < dim; ++i) {
+        acc += std::norm(amps_[dim - 1 - i]);
         cdf[i] = acc;
     }
     out.clear();
@@ -715,12 +814,12 @@ intraStateParallel(std::size_t dim)
 } // namespace detail
 
 Statevector &
-scratchUniformState(StateScratch slot, int num_qubits)
+scratchUniformState(StateScratch slot, int num_qubits, StateLayout layout)
 {
     thread_local std::array<Statevector, 3> states{
         Statevector(0), Statevector(0), Statevector(0)};
     Statevector &s = states[static_cast<std::size_t>(slot)];
-    s.resetUniform(num_qubits);
+    s.resetUniform(num_qubits, layout);
     return s;
 }
 

@@ -22,6 +22,22 @@
  * loop (bit-identical to the historical implementation).
  *
  * Qubit q corresponds to bit q of the basis-state index (little-endian).
+ *
+ * Mirrored layout. A state built only from gates that commute or
+ * anticommute with the global flip X^n satisfies a(~z) = s a(z) with
+ * s = +-1 exactly, so a mirrored Statevector stores the 2^(n-1)
+ * amplitudes whose top qubit is 0 plus the sign s (the uniform start has
+ * s = +1). X, RX and RZZ commute with the flip and keep s; Y and Z
+ * anticommute and negate it. Qubits below the top run the full layout's
+ * loops over the stored half; the top qubit pairs stored z with its
+ * mirror 2^(n-1) - 1 - z. The <Z>/<ZZ> readout and the sampler walk the
+ * full index order, reading index i >= 2^(n-1) at 2^n - 1 - i, and every
+ * shape decision (RZZ tile width, serial-vs-chunked split, chunk
+ * partition) is keyed on the full 2^n, so every value is bit-identical
+ * to the full layout's (up to the sign of an exact zero). Precondition:
+ * only X, Y, Z, RX and RZZ reach a mirrored state. H, CNOT, RY, RZ, the
+ * general 2x2 and diagonal gates, the fused mixer and the other
+ * reductions assert a full state.
  */
 
 #ifndef REDQAOA_QUANTUM_STATEVECTOR_HPP
@@ -62,26 +78,41 @@ makeRzzTerm(int a, int b, double theta)
     return RzzTerm{a, b, Complex{c, -s}, Complex{c, s}};
 }
 
+/** Which amplitudes a Statevector stores (see the file comment). */
+enum class StateLayout
+{
+    kFull,    //!< All 2^n amplitudes.
+    kMirrored //!< The 2^(n-1) with top qubit 0, and the flip sign.
+};
+
 /** Dense n-qubit state vector. */
 class Statevector
 {
   public:
-    /** |0...0> on @p num_qubits qubits. */
+    /** |0...0> on @p num_qubits qubits (full layout). */
     explicit Statevector(int num_qubits);
 
     /** Uniform superposition |s> = H^n |0...0>. */
-    static Statevector uniform(int num_qubits);
+    static Statevector uniform(int num_qubits,
+                               StateLayout layout = StateLayout::kFull);
 
     /**
      * Reset to the uniform superposition on @p num_qubits qubits,
      * reusing the existing allocation when capacity permits (the
      * workspace fast path).
      */
-    void resetUniform(int num_qubits);
+    void resetUniform(int num_qubits,
+                      StateLayout layout = StateLayout::kFull);
 
     int numQubits() const { return numQubits_; }
-    std::size_t dim() const { return amps_.size(); }
 
+    /** Dimension 2^n of the state space (in either layout). */
+    std::size_t dim() const { return std::size_t{1} << numQubits_; }
+
+    /** s in a(~z) = s a(z) of a mirrored state (+1 for a full one). */
+    double mirrorSign() const { return sign_; }
+
+    /** Stored amplitude @p i (i < 2^(n-1) in a mirrored state). */
     Complex &operator[](std::size_t i) { return amps_[i]; }
     const Complex &operator[](std::size_t i) const { return amps_[i]; }
 
@@ -98,6 +129,9 @@ class Statevector
 
     /** RX(theta) = exp(-i theta X / 2). */
     void applyRx(int q, double theta);
+
+    /** RX(theta) given c = cos(theta / 2) and s = sin(theta / 2). */
+    void applyRx(int q, double c, double s);
 
     /** RY(theta) = exp(-i theta Y / 2). */
     void applyRy(int q, double theta);
@@ -204,13 +238,22 @@ class Statevector
     void sampleInto(int shots, Rng &rng,
                     std::vector<std::uint64_t> &out) const;
 
+    /** The stored amplitudes (the lower half of a mirrored state). */
     const std::vector<Complex> &amplitudes() const { return amps_; }
 
   private:
     /** One-term RZZ from its precomputed parity phases. */
     void applyRzz0(const RzzTerm &t);
 
+    /** True when @p q is a mirrored state's top qubit. */
+    bool isMirroredTop(int q) const
+    {
+        return mirrored_ && q == numQubits_ - 1;
+    }
+
     int numQubits_;
+    bool mirrored_ = false;
+    double sign_ = 1.0;
     std::vector<Complex> amps_;
 };
 
@@ -244,11 +287,12 @@ enum class StateScratch { kEvaluator, kTrajectory, kLightcone };
 
 /**
  * The calling thread's reusable scratch statevector for @p slot, reset
- * to the uniform superposition on @p num_qubits qubits. The returned
- * reference stays valid for the lifetime of the thread; repeated calls
- * with the same or smaller sizes do not allocate.
+ * to the uniform superposition on @p num_qubits qubits in @p layout. The
+ * returned reference stays valid for the lifetime of the thread;
+ * repeated calls with the same or smaller sizes do not allocate.
  */
-Statevector &scratchUniformState(StateScratch slot, int num_qubits);
+Statevector &scratchUniformState(StateScratch slot, int num_qubits,
+                                 StateLayout layout = StateLayout::kFull);
 
 } // namespace redqaoa
 

@@ -212,18 +212,51 @@ TrajectorySimulator::collectTwoQubitError(std::size_t edge_index, Rng &rng,
     return count;
 }
 
+std::vector<TrajectorySimulator::LayerGates>
+TrajectorySimulator::pointGates(const QaoaParams &params) const
+{
+    std::vector<LayerGates> layers(static_cast<std::size_t>(params.layers()));
+    for (std::size_t layer = 0; layer < layers.size(); ++layer) {
+        const double gma = params.gamma[layer];
+        const double bta = params.beta[layer];
+        LayerGates &gates = layers[layer];
+        gates.rzzDuration = durationFactor(gma);
+        gates.rxDuration = durationFactor(2.0 * bta);
+        gates.rzz.reserve(graph_.edges().size() + crosstalkPairs_.size());
+        // exp(-i gamma cut_e), with the static calibration error.
+        for (std::size_t ei = 0; ei < graph_.edges().size(); ++ei) {
+            const Edge &e = graph_.edges()[ei];
+            gates.rzz.push_back(makeRzzTerm(e.u, e.v, -gma * edgeScale_[ei]));
+        }
+        // Parasitic conditional phases accumulate over the cost layer,
+        // scaled by its duration (coherent: identical every trajectory).
+        for (std::size_t ci = 0; ci < crosstalkPairs_.size(); ++ci)
+            gates.rzz.push_back(makeRzzTerm(
+                crosstalkPairs_[ci].first, crosstalkPairs_[ci].second,
+                crosstalkPhase_[ci] * gates.rzzDuration));
+        gates.rx.reserve(qubitScale_.size());
+        for (double scale : qubitScale_) {
+            const double theta = 2.0 * bta * scale;
+            gates.rx.emplace_back(std::cos(theta / 2.0),
+                                  std::sin(theta / 2.0));
+        }
+    }
+    return layers;
+}
+
 Statevector &
-TrajectorySimulator::runTrajectory(const QaoaParams &params, Rng &rng) const
+TrajectorySimulator::runTrajectory(std::span<const LayerGates> layers,
+                                   Rng &rng) const
 {
     const int n = graph_.numNodes();
-    // Per-thread workspace: batch sweeps stop allocating one 2^n vector
-    // per (point, trajectory).
-    Statevector &psi = scratchUniformState(StateScratch::kTrajectory, n);
+    // Per-thread workspace: batch sweeps stop allocating one 2^(n-1)
+    // vector per (point, trajectory).
+    Statevector &psi = scratchUniformState(StateScratch::kTrajectory, n,
+                                           StateLayout::kMirrored);
     // Initial H layer counts as one 1q gate per qubit.
     for (int q = 0; q < n; ++q)
         applyPauliError(psi, q, rng, 1.0);
 
-    thread_local std::vector<RzzTerm> pending;
     auto applyPauli = [&psi](PauliOp op) {
         switch (op.pauli) {
           case 1:
@@ -237,39 +270,27 @@ TrajectorySimulator::runTrajectory(const QaoaParams &params, Rng &rng) const
             break;
         }
     };
-    for (int layer = 0; layer < params.layers(); ++layer) {
-        double gma = params.gamma[static_cast<std::size_t>(layer)];
-        double bta = params.beta[static_cast<std::size_t>(layer)];
-        double rzz_duration = durationFactor(gma);
-        double rx_duration = durationFactor(2.0 * bta);
+    const std::size_t edges = graph_.edges().size();
+    for (const LayerGates &gates : layers) {
+        const double rzz_duration = gates.rzzDuration;
         // Cost layer: the diagonal RZZs all commute, so they accumulate
         // into fused batch applications that only flush when a
         // stochastic Pauli insertion actually fires in between (rare),
-        // instead of one full state pass per edge.
-        pending.clear();
-        for (std::size_t ei = 0; ei < graph_.edges().size(); ++ei) {
-            const Edge &e = graph_.edges()[ei];
-            // exp(-i gamma cut_e), with the static calibration error.
-            pending.push_back(
-                makeRzzTerm(e.u, e.v, -gma * edgeScale_[ei]));
+        // instead of one full state pass per edge. The pending run is
+        // rzz[first, ei]; the last flush adds the crosstalk terms.
+        const std::span<const RzzTerm> rzz = gates.rzz;
+        std::size_t first = 0;
+        for (std::size_t ei = 0; ei < edges; ++ei) {
             PauliOp ops[4];
             int nops = collectTwoQubitError(ei, rng, rzz_duration, ops);
             if (nops > 0) {
-                psi.applyRzzBatch(pending);
-                pending.clear();
+                psi.applyRzzBatch(rzz.subspan(first, ei + 1 - first));
+                first = ei + 1;
                 for (int k = 0; k < nops; ++k)
                     applyPauli(ops[k]);
             }
         }
-        // Parasitic conditional phases accumulate over the cost layer,
-        // scaled by its duration (coherent: identical every trajectory);
-        // they join the same fused diagonal flush.
-        for (std::size_t ci = 0; ci < crosstalkPairs_.size(); ++ci)
-            pending.push_back(makeRzzTerm(
-                crosstalkPairs_[ci].first, crosstalkPairs_[ci].second,
-                crosstalkPhase_[ci] * rzz_duration));
-        psi.applyRzzBatch(pending);
-        pending.clear();
+        psi.applyRzzBatch(rzz.subspan(first));
         // Idle decoherence over the layer's wall time.
         for (int q = 0; q < n; ++q) {
             double u = rng.uniform();
@@ -284,19 +305,19 @@ TrajectorySimulator::runTrajectory(const QaoaParams &params, Rng &rng) const
                 psi.applyZ(q);
         }
         for (int q = 0; q < n; ++q) {
-            psi.applyRx(q, 2.0 * bta *
-                               qubitScale_[static_cast<std::size_t>(q)]);
-            applyPauliError(psi, q, rng, rx_duration);
+            const auto &[c, s] = gates.rx[static_cast<std::size_t>(q)];
+            psi.applyRx(q, c, s);
+            applyPauliError(psi, q, rng, gates.rxDuration);
         }
     }
     return psi;
 }
 
 double
-TrajectorySimulator::trajectoryEnergy(const QaoaParams &params,
+TrajectorySimulator::trajectoryEnergy(std::span<const LayerGates> layers,
                                       Rng &rng) const
 {
-    Statevector &psi = runTrajectory(params, rng);
+    Statevector &psi = runTrajectory(layers, rng);
     // Every <Z_q> and <Z_u Z_v> in one fused pass over the amplitudes
     // (historically 3 full passes per edge).
     thread_local std::vector<double> z, zz;
@@ -323,10 +344,10 @@ TrajectorySimulator::trajectoryEnergy(const QaoaParams &params,
 }
 
 double
-TrajectorySimulator::sampledTrajectoryTotal(const QaoaParams &params,
-                                            Rng &rng, int shots) const
+TrajectorySimulator::sampledTrajectoryTotal(
+    std::span<const LayerGates> layers, Rng &rng, int shots) const
 {
-    Statevector &psi = runTrajectory(params, rng);
+    Statevector &psi = runTrajectory(layers, rng);
     thread_local std::vector<std::uint64_t> outcomes;
     psi.sampleInto(shots, rng, outcomes);
     double total = 0.0;
@@ -362,10 +383,11 @@ TrajectorySimulator::expectationWithStreams(const QaoaParams &params,
     // One output slot per trajectory plus an in-order reduction keeps
     // the sum identical at every thread count. Cut-value totals are
     // integer-valued doubles, so even regrouping them would be exact.
+    const std::vector<LayerGates> layers = pointGates(params);
     std::vector<double> per_traj(streams.size());
     if (shots == 0) {
         parallelFor(streams.size(), [&](std::size_t t) {
-            per_traj[t] = trajectoryEnergy(params, streams[t]);
+            per_traj[t] = trajectoryEnergy(layers, streams[t]);
         });
         double total = 0.0;
         for (double e : per_traj)
@@ -374,7 +396,7 @@ TrajectorySimulator::expectationWithStreams(const QaoaParams &params,
     }
     int shots_per_traj = std::max(1, shots / trajectories_);
     parallelFor(streams.size(), [&](std::size_t t) {
-        per_traj[t] = sampledTrajectoryTotal(params, streams[t],
+        per_traj[t] = sampledTrajectoryTotal(layers, streams[t],
                                              shots_per_traj);
     });
     double total = 0.0;

@@ -13,12 +13,24 @@
  * The twirl is exact for depolarizing and a standard approximation for
  * the damping channels (tests cross-check against the exact density
  * matrix on small systems). Readout error is folded analytically.
+ *
+ * Every trajectory state is a mirrored Statevector (statevector.hpp):
+ * the 2^(n-1) amplitudes whose top qubit is 0 and a sign s with
+ * a(~z) = s a(z). A trajectory applies only gates that commute (X, RX,
+ * the edge and crosstalk RZZs) or anticommute (Y, Z) with the global
+ * flip X^n, so from the flip-symmetric uniform start the relation holds
+ * exactly, and every value equals the full-state value bit for bit.
+ * Precondition for any new channel or gate: it must be one of those,
+ * or the trajectory needs the full layout (H, CNOT, RY, RZ and general
+ * diagonals assert a full state).
  */
 
 #ifndef REDQAOA_QUANTUM_TRAJECTORY_HPP
 #define REDQAOA_QUANTUM_TRAJECTORY_HPP
 
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
@@ -85,18 +97,37 @@ class TrajectorySimulator
 
   private:
     /**
-     * One noisy trajectory into the calling thread's scratch
-     * statevector; the returned reference is valid until the next
-     * trajectory on the same thread.
+     * One layer's gates, the same in every trajectory of a point: the
+     * duration factors, the RZZ terms of the edges (edge order) followed
+     * by those of the crosstalk pairs, and each qubit's RX as
+     * (cos, sin) of its half angle.
      */
-    Statevector &runTrajectory(const QaoaParams &params, Rng &rng) const;
+    struct LayerGates
+    {
+        double rzzDuration = 1.0;
+        double rxDuration = 1.0;
+        std::vector<RzzTerm> rzz;
+        std::vector<std::pair<double, double>> rx;
+    };
+
+    /** The gates of every layer of @p params, built once per point. */
+    std::vector<LayerGates> pointGates(const QaoaParams &params) const;
+
+    /**
+     * One noisy trajectory into the calling thread's scratch
+     * statevector (mirrored layout); the returned reference is valid
+     * until the next trajectory on the same thread.
+     */
+    Statevector &runTrajectory(std::span<const LayerGates> layers,
+                               Rng &rng) const;
 
     /** Trajectory energy with analytic readout folding. */
-    double trajectoryEnergy(const QaoaParams &params, Rng &rng) const;
+    double trajectoryEnergy(std::span<const LayerGates> layers,
+                            Rng &rng) const;
 
     /** Trajectory cut-value total over @p shots sampled outcomes. */
-    double sampledTrajectoryTotal(const QaoaParams &params, Rng &rng,
-                                  int shots) const;
+    double sampledTrajectoryTotal(std::span<const LayerGates> layers,
+                                  Rng &rng, int shots) const;
 
     /** Mean over pre-split per-trajectory streams (parallel fan-out). */
     double expectationWithStreams(const QaoaParams &params,

@@ -90,8 +90,9 @@ TEST(KernelGolden, LightconeEvaluatorMatchesPreOverhaul)
 // ---------------------------------------------------------------------
 // Trajectory pins: a 64-bit hash over the bits of every trajectory
 // estimator value (exact readout, sampled, batched) under two transpiled
-// device models, recorded before the trajectory kernels were rewritten.
-// n = 14 at 4 threads runs the chunked reductions, whose grouping
+// device models, recorded before the trajectory kernels were rewritten
+// (the edge-case sets: before trajectories stored half of each state).
+// n >= 14 at 4 threads runs the chunked reductions, whose grouping
 // differs from the serial one, so each thread count has its own hash.
 // ---------------------------------------------------------------------
 
@@ -105,19 +106,26 @@ fnvMix(std::uint64_t &h, std::uint64_t bits)
     }
 }
 
+/**
+ * Hash of every estimator value (exact readout, 96 shots, a batch of
+ * two) at each size in @p sizes and depth in @p depths, with
+ * @p trajectories trajectories per value.
+ */
 std::uint64_t
-trajectoryValuesHash(const NoiseModel &device)
+trajectoryValuesHash(const NoiseModel &device, std::span<const int> sizes,
+                     std::span<const int> depths, int trajectories)
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](double v) { fnvMix(h, std::bit_cast<std::uint64_t>(v)); };
-    for (int n : {5, 8, 12, 14}) {
+    for (int n : sizes) {
         Rng grng(static_cast<std::uint64_t>(n) * 7 + 3);
         Graph g = gen::connectedGnp(n, 0.35, grng);
-        for (int p : {1, 2}) {
+        for (int p : depths) {
             Rng prng(static_cast<std::uint64_t>(n) * 31 + p);
             const QaoaParams pts[2] = {QaoaParams::random(p, prng),
                                        QaoaParams::random(p, prng)};
-            TrajectorySimulator sim(g, noise::transpiled(device, n), 4,
+            TrajectorySimulator sim(g, noise::transpiled(device, n),
+                                    trajectories,
                                     static_cast<std::uint64_t>(n + p));
             mix(sim.expectation(pts[0]));
             mix(sim.sampledExpectation(pts[1], 96));
@@ -128,30 +136,77 @@ trajectoryValuesHash(const NoiseModel &device)
     return h;
 }
 
-TEST(KernelGolden, TrajectoryValuesMatchPinnedHashes)
+/** One pinned hash: a device model at a pool size. */
+struct TrajectoryPin
+{
+    const char *device;
+    NoiseModel model;
+    int threads;
+    std::uint64_t hash;
+};
+
+void
+expectTrajectoryPins(std::span<const TrajectoryPin> pins,
+                     std::span<const int> sizes, std::span<const int> depths,
+                     int trajectories)
 {
     ThreadGuard guard;
-    struct Pin
-    {
-        const char *device;
-        NoiseModel model;
-        int threads;
-        std::uint64_t hash;
-    };
+    for (const TrajectoryPin &pin : pins) {
+        ThreadPool::setGlobalThreads(pin.threads);
+        const std::uint64_t got =
+            trajectoryValuesHash(pin.model, sizes, depths, trajectories);
+        EXPECT_EQ(got, pin.hash) << pin.device << " at " << pin.threads
+                                 << " threads: hash 0x" << std::hex << got;
+    }
+}
+
+TEST(KernelGolden, TrajectoryValuesMatchPinnedHashes)
+{
     const NoiseModel kolkata = noise::ibmKolkata();
     const NoiseModel melbourne = noise::ibmMelbourne();
-    const Pin pins[] = {
+    const TrajectoryPin pins[] = {
         {"ibmq_kolkata", kolkata, 1, 0x915f31dfbe578710ull},
         {"ibmq_kolkata", kolkata, 4, 0x140029bf8ace7e03ull},
         {"ibmq_16_melbourne", melbourne, 1, 0x21163e68765d4db0ull},
         {"ibmq_16_melbourne", melbourne, 4, 0x5306e9593d9eda17ull},
     };
-    for (const Pin &pin : pins) {
-        ThreadPool::setGlobalThreads(pin.threads);
-        const std::uint64_t got = trajectoryValuesHash(pin.model);
-        EXPECT_EQ(got, pin.hash) << pin.device << " at " << pin.threads
-                                 << " threads: hash 0x" << std::hex << got;
-    }
+    const int sizes[] = {5, 8, 12, 14};
+    const int depths[] = {1, 2};
+    expectTrajectoryPins(pins, sizes, depths, 4);
+}
+
+// Edge cases of half-state trajectories, recorded on the full-state
+// trajectory kernels: one flip pair (n = 2), odd n below and above the
+// pool threshold, p = 3, and a lone trajectory, which runs on the
+// calling thread, so from n = 14 at 4 threads its kernels chunk over
+// the pool (four trajectories fan out and run their kernels inline).
+const int kEdgeSizes[] = {2, 3, 4, 13, 15};
+const int kEdgeDepths[] = {1, 3};
+
+TEST(KernelGolden, FourTrajectoryEdgeCasesMatchPinnedHashes)
+{
+    const NoiseModel kolkata = noise::ibmKolkata();
+    const NoiseModel melbourne = noise::ibmMelbourne();
+    const TrajectoryPin pins[] = {
+        {"ibmq_kolkata", kolkata, 1, 0x103150d9968dbb97ull},
+        {"ibmq_kolkata", kolkata, 4, 0xe0055d2175a314c8ull},
+        {"ibmq_16_melbourne", melbourne, 1, 0x2c42f2c6a343929bull},
+        {"ibmq_16_melbourne", melbourne, 4, 0x2c42f2c6a343929bull},
+    };
+    expectTrajectoryPins(pins, kEdgeSizes, kEdgeDepths, 4);
+}
+
+TEST(KernelGolden, OneTrajectoryEdgeCasesMatchPinnedHashes)
+{
+    const NoiseModel kolkata = noise::ibmKolkata();
+    const NoiseModel melbourne = noise::ibmMelbourne();
+    const TrajectoryPin pins[] = {
+        {"ibmq_kolkata", kolkata, 1, 0xbcd816b9a41d3054ull},
+        {"ibmq_kolkata", kolkata, 4, 0x52f8d83c29a5ee87ull},
+        {"ibmq_16_melbourne", melbourne, 1, 0x6caad40cb7654998ull},
+        {"ibmq_16_melbourne", melbourne, 4, 0x33c2b5d056e95640ull},
+    };
+    expectTrajectoryPins(pins, kEdgeSizes, kEdgeDepths, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -537,6 +592,168 @@ TEST(KernelEquivalence, ScratchStateResetsCleanly)
     // Distinct slots never alias.
     Statevector &v = scratchUniformState(StateScratch::kTrajectory, 5);
     EXPECT_NE(&t, &v);
+}
+
+// ---------------------------------------------------------------------
+// Mirrored layout against the full one: one random gate sequence on
+// both, from the uniform start. Every op runs on every qubit, the top
+// one included, and RZZ batches of 1 to 9 terms include self pairs and
+// pairs on the top qubit; n <= 10 tiles those batches more narrowly
+// than its half would, n = 1 pairs amplitude 0 with itself, and at 4
+// threads n >= 14 chunks the passes, the top-qubit pass and the readout.
+// ---------------------------------------------------------------------
+
+/** One gate of the sequence: 'X', 'Y', 'Z', 'R' (RX) or 'B' (RZZ batch). */
+struct MirrorOp
+{
+    char kind;
+    int qubit;
+    double theta;
+    std::vector<RzzTerm> terms;
+};
+
+void
+applyMirrorOp(Statevector &psi, const MirrorOp &op)
+{
+    switch (op.kind) {
+      case 'X':
+        psi.applyX(op.qubit);
+        break;
+      case 'Y':
+        psi.applyY(op.qubit);
+        break;
+      case 'Z':
+        psi.applyZ(op.qubit);
+        break;
+      case 'R':
+        psi.applyRx(op.qubit, op.theta);
+        break;
+      default:
+        psi.applyRzzBatch(op.terms);
+        break;
+    }
+}
+
+/** X, Y, Z and RX on every qubit and RZZ batches of 1..9, shuffled. */
+std::vector<MirrorOp>
+mirrorOpSequence(int n, Rng &rng)
+{
+    std::vector<MirrorOp> ops;
+    for (int q = 0; q < n; ++q)
+        for (char kind : {'X', 'Y', 'Z', 'R'})
+            ops.push_back(MirrorOp{kind, q, rng.uniform(-2.0, 2.0), {}});
+    const int top = n - 1;
+    for (std::size_t k = 1; k <= 9; ++k) {
+        MirrorOp batch{'B', 0, 0.0, {}};
+        for (std::size_t j = 0; j < k; ++j) {
+            int a = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+            int b = static_cast<int>(rng.index(static_cast<std::size_t>(n)));
+            switch (rng.index(4)) {
+              case 0:
+                b = a;
+                break;
+              case 1:
+                b = top;
+                break;
+              default:
+                break;
+            }
+            if (rng.index(2) == 0)
+                std::swap(a, b);
+            batch.terms.push_back(makeRzzTerm(a, b, rng.uniform(-2.0, 2.0)));
+        }
+        ops.push_back(std::move(batch));
+    }
+    for (std::size_t i = ops.size(); i > 1; --i)
+        std::swap(ops[i - 1], ops[rng.index(i)]);
+    return ops;
+}
+
+/** Equal bits, or exact zeros of either sign. */
+bool
+sameUpToZeroSign(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+               std::bit_cast<std::uint64_t>(b) ||
+           (a == 0.0 && b == 0.0);
+}
+
+/**
+ * The first index i at which @p full differs from @p half's amplitude:
+ * stored[i] below 2^(n-1), s * stored[2^n - 1 - i] above; dim if none.
+ */
+std::size_t
+firstMirrorMismatch(const Statevector &full, const Statevector &half)
+{
+    const std::vector<Complex> &stored = half.amplitudes();
+    const double s = half.mirrorSign();
+    const std::size_t dim = full.dim();
+    for (std::size_t i = 0; i < dim; ++i) {
+        const Complex a =
+            i < stored.size() ? stored[i] : s * stored[dim - 1 - i];
+        if (!sameUpToZeroSign(full[i].real(), a.real()) ||
+            !sameUpToZeroSign(full[i].imag(), a.imag()))
+            return i;
+    }
+    return dim;
+}
+
+TEST(MirroredState, EveryOpReadoutAndSamplerMatchTheFullState)
+{
+    ThreadGuard guard;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (int n = 1; n <= 16; ++n) {
+            SCOPED_TRACE("n=" + std::to_string(n) +
+                         " threads=" + std::to_string(threads));
+            Statevector full = Statevector::uniform(n);
+            Statevector half =
+                Statevector::uniform(n, StateLayout::kMirrored);
+            ASSERT_EQ(half.amplitudes().size(), full.dim() / 2);
+            ASSERT_EQ(half.mirrorSign(), 1.0);
+            Rng rng(static_cast<std::uint64_t>(7000 + n));
+            const std::vector<MirrorOp> ops = mirrorOpSequence(n, rng);
+            for (std::size_t k = 0; k < ops.size(); ++k) {
+                applyMirrorOp(full, ops[k]);
+                applyMirrorOp(half, ops[k]);
+                const std::size_t bad = firstMirrorMismatch(full, half);
+                ASSERT_EQ(bad, full.dim())
+                    << "op " << k << " (" << ops[k].kind << " on qubit "
+                    << ops[k].qubit << ") amplitude " << bad << " sign "
+                    << half.mirrorSign();
+            }
+
+            // Every <Z>, and pairs on the top qubit, a self pair and
+            // random ones; then 257 shots from one seed.
+            std::vector<std::pair<int, int>> pairs{{0, 0}};
+            for (int q = 0; q < n; ++q)
+                pairs.emplace_back(q, n - 1);
+            for (int k = 0; k < n; ++k)
+                pairs.emplace_back(
+                    static_cast<int>(rng.index(static_cast<std::size_t>(n))),
+                    static_cast<int>(rng.index(static_cast<std::size_t>(n))));
+            const auto nq = static_cast<std::size_t>(n);
+            std::vector<double> z_full(nq), zz_full(pairs.size());
+            std::vector<double> z_half(nq), zz_half(pairs.size());
+            full.zAndZzExpectations(pairs, z_full, zz_full);
+            half.zAndZzExpectations(pairs, z_half, zz_half);
+            for (std::size_t q = 0; q < nq; ++q)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(z_half[q]),
+                          std::bit_cast<std::uint64_t>(z_full[q]))
+                    << "Z" << q;
+            for (std::size_t k = 0; k < pairs.size(); ++k)
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(zz_half[k]),
+                          std::bit_cast<std::uint64_t>(zz_full[k]))
+                    << "pair " << k;
+
+            const std::uint64_t seed = rng.bits53();
+            Rng full_rng(seed), half_rng(seed);
+            std::vector<std::uint64_t> full_shots, half_shots;
+            full.sampleInto(257, full_rng, full_shots);
+            half.sampleInto(257, half_rng, half_shots);
+            EXPECT_EQ(half_shots, full_shots);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
